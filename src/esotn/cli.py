@@ -37,7 +37,6 @@ from .runtime import (
     TrainingSetup,
     WorkerTimeoutError,
     connect_worker,
-    run_coordinator,
     run_inproc,
     run_proc,
     run_worker,
@@ -141,8 +140,6 @@ def _run_training(
     on_iteration,
 ) -> tuple[PolicyParams, RunStats]:
     n = config.workers
-    if n == 1:
-        return run_coordinator(setup, theta0, [], on_iteration)
     if config.mode == "inproc":
         return run_inproc(setup, theta0, n, on_iteration)
     return run_proc(setup, theta0, n, _spawn_worker_command(echo_path), on_iteration)
@@ -206,6 +203,8 @@ def _eval_seeds(base_seed: int, episodes: int) -> list[int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     config = load_run_config(args.config, _collect_overrides(args))
     env_configs = build_env_configs(config)
     manifest = build_manifest(config.policy)
@@ -258,14 +257,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     overrides.pop("run.workers", None)
     config = load_run_config(args.config, overrides)
     # Bench measures wall-clock scaling, which needs real processes; the
-    # mode flag still allows inproc for protocol checks.
-    mode = args.mode or "proc"
+    # mode flag still allows inproc for protocol checks. Every count is
+    # checked before the first run starts.
+    run_configs = [replace(config, workers=n, mode=args.mode or "proc") for n in worker_counts]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for n in worker_counts:
-        run_config = replace(config, workers=n, mode=mode)
+    for n, run_config in zip(worker_counts, run_configs):
         echo_path = out / f"config.echo.n{n}.cfg"
         write_config_echo(run_config, echo_path)
         setup, theta0 = build_training_setup(run_config)
@@ -295,8 +294,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_worker(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, {})
     setup, theta0 = build_training_setup(config)
-    if args.iter_timeout_secs is not None:
-        setup = replace(setup, iter_timeout=args.iter_timeout_secs)
     connection = connect_worker(args.connect)
     try:
         return run_worker(setup, theta0, connection)
@@ -343,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker = sub.add_parser("worker", help="join a multi-process run as a worker")
     worker.add_argument("--connect", required=True, metavar="HOST:PORT")
     worker.add_argument("--config", required=True, help="config echo written by the coordinator")
-    worker.add_argument("--iter-timeout-secs", type=float, default=None)
     worker.set_defaults(func=cmd_worker)
     return parser
 

@@ -9,7 +9,8 @@ processes load, so every participant reconstructs identical state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -39,8 +40,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in raw.split(",") if part.strip())
+    return tuple(_parse_float(part) for part in raw.split(",") if part.strip())
 
 
 def _parse_str_list(raw: str) -> tuple[str, ...]:
@@ -52,7 +60,7 @@ def _parse_opt_int(raw: str) -> int | None:
 
 
 def _parse_opt_float(raw: str) -> float | None:
-    return None if raw.strip().lower() in ("none", "auto") else float(raw)
+    return None if raw.strip().lower() in ("none", "auto") else _parse_float(raw)
 
 
 def _fmt(value) -> str:
@@ -67,83 +75,65 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# The es.* and policy.* defaults are the section dataclasses' own, so each
-# key has one default.
-_ES = ESConfig()
-_POLICY = PolicyConfig()
-
-# key -> (default as text, caster)
-_SCHEMA: dict[str, tuple[str, Callable[[str], object]]] = {
-    "topology.files": ("nsfnet", _parse_str_list),
-    "topology.k_paths": ("4", int),
-    "env.link_capacity": ("none", _parse_opt_float),
-    "env.demand_bandwidths": ("8,32,64", _parse_float_list),
-    "env.demand_seed": ("0", int),
-    "env.max_episode_steps": ("1000", _parse_opt_int),
-    "policy.hidden_dim": (_fmt(_POLICY.hidden_dim), int),
-    "policy.message_passing_steps": (_fmt(_POLICY.message_passing_steps), int),
-    "policy.action_noise": (_fmt(_POLICY.action_noise_epsilon), float),
-    "policy.feasibility_masking": (_fmt(_POLICY.feasibility_masking), _parse_bool),
-    "es.alpha": (_fmt(_ES.alpha), float),
-    "es.sigma": (_fmt(_ES.sigma), float),
-    "es.mutations": (_fmt(_ES.num_mutations), int),
-    "es.mirrored": (_fmt(_ES.mirrored), _parse_bool),
-    "es.episodes_per_eval": (_fmt(_ES.episodes_per_eval), int),
-    "es.iterations": (_fmt(_ES.iterations), int),
-    "es.seed": (_fmt(_ES.global_seed), int),
-    "es.failure_fitness": (_fmt(_ES.failure_fitness), _parse_opt_float),
-    "run.mode": ("inproc", str),
-    "run.workers": ("1", int),
-    "run.out": ("runs/default", str),
-    "run.checkpoint_interval": ("50", int),
-    "run.iter_timeout_secs": (str(int(DEFAULT_ITER_TIMEOUT)), float),
+# key -> (section of RunConfig, or None for RunConfig itself; field; caster).
+# Defaults are the dataclasses' own field defaults.
+_SCHEMA: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
+    "topology.files": (None, "topology_files", _parse_str_list),
+    "topology.k_paths": (None, "k_paths", int),
+    "env.link_capacity": (None, "link_capacity", _parse_opt_float),
+    "env.demand_bandwidths": (None, "demand_bandwidths", _parse_float_list),
+    "env.demand_seed": (None, "demand_seed", int),
+    "env.max_episode_steps": (None, "max_episode_steps", _parse_opt_int),
+    "policy.hidden_dim": ("policy", "hidden_dim", int),
+    "policy.message_passing_steps": ("policy", "message_passing_steps", int),
+    "policy.action_noise": ("policy", "action_noise_epsilon", _parse_float),
+    "policy.feasibility_masking": ("policy", "feasibility_masking", _parse_bool),
+    "es.alpha": ("es", "alpha", _parse_float),
+    "es.sigma": ("es", "sigma", _parse_float),
+    "es.mutations": ("es", "num_mutations", int),
+    "es.mirrored": ("es", "mirrored", _parse_bool),
+    "es.episodes_per_eval": ("es", "episodes_per_eval", int),
+    "es.iterations": ("es", "iterations", int),
+    "es.seed": ("es", "global_seed", int),
+    "es.failure_fitness": ("es", "failure_fitness", _parse_opt_float),
+    "run.mode": (None, "mode", str),
+    "run.workers": (None, "workers", int),
+    "run.out": (None, "out_dir", str),
+    "run.checkpoint_interval": (None, "checkpoint_interval", int),
+    "run.iter_timeout_secs": (None, "iter_timeout_secs", _parse_float),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    topology_files: tuple[str, ...]
-    k_paths: int
-    link_capacity: float | None
-    demand_bandwidths: tuple[float, ...]
-    demand_seed: int
-    max_episode_steps: int | None
-    policy: PolicyConfig
-    es: ESConfig
-    mode: str
-    workers: int
-    out_dir: str
-    checkpoint_interval: int
-    iter_timeout_secs: float
+    topology_files: tuple[str, ...] = ("nsfnet",)
+    k_paths: int = 4
+    link_capacity: float | None = None
+    demand_bandwidths: tuple[float, ...] = (8.0, 32.0, 64.0)
+    demand_seed: int = 0
+    max_episode_steps: int | None = 1000
+    policy: PolicyConfig = field(default_factory=PolicyConfig)
+    es: ESConfig = field(default_factory=ESConfig)
+    mode: str = "inproc"
+    workers: int = 1
+    out_dir: str = "runs/default"
+    checkpoint_interval: int = 50
+    iter_timeout_secs: float = DEFAULT_ITER_TIMEOUT
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("inproc", "proc"):
+            raise ConfigError(f"run.mode must be 'inproc' or 'proc', got {self.mode!r}")
+        if self.workers < 1:
+            raise ConfigError(f"run.workers must be >= 1, got {self.workers}")
+        if not self.topology_files:
+            raise ConfigError("topology.files must list at least one topology")
 
     def as_items(self) -> list[tuple[str, str]]:
         """The effective configuration as echo-format key/value text pairs."""
-        values = {
-            "topology.files": self.topology_files,
-            "topology.k_paths": self.k_paths,
-            "env.link_capacity": self.link_capacity,
-            "env.demand_bandwidths": self.demand_bandwidths,
-            "env.demand_seed": self.demand_seed,
-            "env.max_episode_steps": self.max_episode_steps,
-            "policy.hidden_dim": self.policy.hidden_dim,
-            "policy.message_passing_steps": self.policy.message_passing_steps,
-            "policy.action_noise": self.policy.action_noise_epsilon,
-            "policy.feasibility_masking": self.policy.feasibility_masking,
-            "es.alpha": self.es.alpha,
-            "es.sigma": self.es.sigma,
-            "es.mutations": self.es.num_mutations,
-            "es.mirrored": self.es.mirrored,
-            "es.episodes_per_eval": self.es.episodes_per_eval,
-            "es.iterations": self.es.iterations,
-            "es.seed": self.es.global_seed,
-            "es.failure_fitness": self.es.failure_fitness,
-            "run.mode": self.mode,
-            "run.workers": self.workers,
-            "run.out": self.out_dir,
-            "run.checkpoint_interval": self.checkpoint_interval,
-            "run.iter_timeout_secs": self.iter_timeout_secs,
-        }
-        return [(key, _fmt(values[key])) for key in _SCHEMA]
+        return [
+            (key, _fmt(getattr(self if section is None else getattr(self, section), name)))
+            for key, (section, name, _) in _SCHEMA.items()
+        ]
 
 
 def parse_config_text(text: str, origin: str = "config") -> dict[str, str]:
@@ -167,7 +157,7 @@ def load_run_config(
     path: str | Path | None, overrides: dict[str, str] | None = None
 ) -> RunConfig:
     """Merge file values over defaults, then CLI overrides over both."""
-    merged = {key: default for key, (default, _) in _SCHEMA.items()}
+    merged = dict(RunConfig().as_items())
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
         merged.update(parse_config_text(text, origin=str(path)))
@@ -176,56 +166,21 @@ def load_run_config(
             raise ConfigError(f"unknown override key {key!r}")
         merged[key] = value
 
-    typed: dict[str, object] = {}
+    by_section: dict[str | None, dict[str, object]] = {None: {}, "policy": {}, "es": {}}
     for key, raw in merged.items():
-        caster = _SCHEMA[key][1]
+        section, name, caster = _SCHEMA[key]
         try:
-            typed[key] = caster(raw)
+            by_section[section][name] = caster(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"key {key}: cannot parse {raw!r}: {exc}") from None
-
-    if typed["run.mode"] not in ("inproc", "proc"):
-        raise ConfigError(f"run.mode must be 'inproc' or 'proc', got {typed['run.mode']!r}")
-    if typed["run.workers"] < 1:
-        raise ConfigError(f"run.workers must be >= 1, got {typed['run.workers']}")
-    if not typed["topology.files"]:
-        raise ConfigError("topology.files must list at least one topology")
-
     try:
-        policy = PolicyConfig(
-            hidden_dim=typed["policy.hidden_dim"],
-            message_passing_steps=typed["policy.message_passing_steps"],
-            action_noise_epsilon=typed["policy.action_noise"],
-            feasibility_masking=typed["policy.feasibility_masking"],
-        )
-        es = ESConfig(
-            alpha=typed["es.alpha"],
-            sigma=typed["es.sigma"],
-            num_mutations=typed["es.mutations"],
-            mirrored=typed["es.mirrored"],
-            episodes_per_eval=typed["es.episodes_per_eval"],
-            iterations=typed["es.iterations"],
-            global_seed=typed["es.seed"],
-            failure_fitness=typed["es.failure_fitness"],
+        return RunConfig(
+            policy=PolicyConfig(**by_section["policy"]),
+            es=ESConfig(**by_section["es"]),
+            **by_section[None],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    return RunConfig(
-        topology_files=typed["topology.files"],
-        k_paths=typed["topology.k_paths"],
-        link_capacity=typed["env.link_capacity"],
-        demand_bandwidths=typed["env.demand_bandwidths"],
-        demand_seed=typed["env.demand_seed"],
-        max_episode_steps=typed["env.max_episode_steps"],
-        policy=policy,
-        es=es,
-        mode=typed["run.mode"],
-        workers=typed["run.workers"],
-        out_dir=typed["run.out"],
-        checkpoint_interval=typed["run.checkpoint_interval"],
-        iter_timeout_secs=typed["run.iter_timeout_secs"],
-    )
 
 
 def write_config_echo(config: RunConfig, path: str | Path) -> None:

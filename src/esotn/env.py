@@ -172,7 +172,7 @@ def run_episode(
     episode_seed: int,
     trace: list[tuple] | None = None,
 ) -> tuple[float, EnvState]:
-    """Roll one episode to termination; returns (summed reward, final state)."""
+    """Roll one episode to termination; returns (undiscounted reward sum, final state)."""
     env = OtnEnv(config)
     state = env.reset(episode_seed)
     total = 0.0
@@ -187,14 +187,6 @@ def run_episode(
                 (state.step_count, demand.src, demand.dst, demand.bandwidth, action, reward, done)
             )
     return total, state
-
-
-def episode_return(
-    policy: Callable[[EnvState], int], config: EnvConfig, episode_seed: int
-) -> float:
-    """Undiscounted sum of rewards of one full episode."""
-    total, _ = run_episode(policy, config, episode_seed)
-    return total
 
 
 def write_episode_trace(path, rows: Sequence[tuple]) -> None:

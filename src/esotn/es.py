@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .env import EnvConfig, episode_return
+from .env import EnvConfig, run_episode
 from .policy import (
     ParamManifest,
     PolicyConfig,
@@ -76,11 +75,6 @@ class MutationRecord:
     raw_return: float = math.nan
 
 
-@dataclass(frozen=True)
-class ShapedFitness:
-    utilities: np.ndarray
-
-
 def pair_index(j: int, mirrored: bool) -> int:
     return j // 2 if mirrored else j
 
@@ -135,7 +129,7 @@ def evaluate_mutation(
         for i, seed in enumerate(seeds):
             env_config = env_configs[i % len(env_configs)]
             agent = make_agent(params, policy_config, env_config, seed, contexts[i % len(contexts)])
-            total += episode_return(agent, env_config, seed)
+            total += run_episode(agent, env_config, seed)[0]
         return total / len(seeds)
     except Exception:
         log.exception("mutation evaluation failed; scoring with failure fitness")
@@ -201,8 +195,8 @@ def resolve_failures(raw_returns: np.ndarray, config: ESConfig) -> np.ndarray:
     return out
 
 
-def shape_fitness(raw_returns: np.ndarray, method: str = "rank") -> ShapedFitness:
-    """Zero-sum utilities from raw returns.
+def shape_fitness(raw_returns: np.ndarray, method: str = "rank") -> np.ndarray:
+    """Zero-sum utilities from raw returns, one per mutation index.
 
     "rank": log-rank utilities that depend only on the return ordering
     (rank 1 is the best return; ties broken by mutation index).
@@ -216,19 +210,19 @@ def shape_fitness(raw_returns: np.ndarray, method: str = "rank") -> ShapedFitnes
     if not np.all(np.isfinite(returns)):
         raise ValueError("shape_fitness expects finite returns; resolve failures first")
     if method == "centered":
-        return ShapedFitness(utilities=returns - returns.mean())
+        return returns - returns.mean()
     if method != "rank":
         raise ValueError(f"unknown shaping method {method!r}")
     order = np.lexsort((np.arange(k), -returns))  # best first, ties by index
     ranks = np.empty(k, dtype=np.float64)
     ranks[order] = np.arange(1, k + 1)
     u = np.maximum(0.0, np.log(k / 2 + 1) - np.log(ranks))
-    return ShapedFitness(utilities=u / u.sum() - 1.0 / k)
+    return u / u.sum() - 1.0 / k
 
 
 def compute_update(
     records: Sequence[MutationRecord],
-    shaped: ShapedFitness,
+    utilities: np.ndarray,
     config: ESConfig,
     manifest: ParamManifest,
 ) -> np.ndarray:
@@ -247,7 +241,7 @@ def compute_update(
         raise ProtocolError(
             f"mutation indices {sorted(r.index for r in records)} do not cover 0..{k - 1}"
         )
-    if shaped.utilities.shape != (k,):
+    if utilities.shape != (k,):
         raise ProtocolError("utilities length does not match mutation count")
     acc = np.zeros(manifest.total_dim, dtype=np.float64)
     cached_seed: int | None = None
@@ -256,7 +250,7 @@ def compute_update(
         if record.seed != cached_seed:
             cached_base = derive_perturbation(manifest, record.seed, 1)
             cached_seed = record.seed
-        acc += (shaped.utilities[record.index] * record.sign) * cached_base
+        acc += (utilities[record.index] * record.sign) * cached_base
     return (config.alpha / (k * config.sigma)) * acc
 
 
@@ -270,36 +264,6 @@ class IterationStats:
     update_seconds: float
     wall_seconds: float
     theta_l2_norm: float
-
-
-def train_iteration(
-    theta: PolicyParams, config: ESConfig, t: int, evaluator: Evaluator
-) -> tuple[PolicyParams, IterationStats]:
-    """One full sequential iteration: evaluate all mutations, then update."""
-    wall_start = time.perf_counter()
-    records = evaluate_assignment(theta, config, t, range(config.num_mutations), evaluator)
-    eval_seconds = time.perf_counter() - wall_start
-
-    update_start = time.perf_counter()
-    returns = resolve_failures(np.array([r.raw_return for r in records]), config)
-    for record, value in zip(records, returns):
-        record.raw_return = float(value)
-    shaped = shape_fitness(returns, config.shaping)
-    delta = compute_update(records, shaped, config, theta.manifest)
-    new_theta = PolicyParams(manifest=theta.manifest, values=theta.values + delta)
-    update_seconds = time.perf_counter() - update_start
-
-    stats = IterationStats(
-        t=t,
-        best_return=float(returns.max()),
-        mean_return=float(returns.mean()),
-        worst_return=float(returns.min()),
-        eval_seconds=eval_seconds,
-        update_seconds=update_seconds,
-        wall_seconds=time.perf_counter() - wall_start,
-        theta_l2_norm=float(np.linalg.norm(new_theta.values)),
-    )
-    return new_theta, stats
 
 
 def toy_config(**overrides) -> ESConfig:

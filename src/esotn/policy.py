@@ -74,13 +74,13 @@ class PolicyParams:
 
 @dataclass(frozen=True)
 class PolicyConfig:
+    """A deterministic agent acts on the argmax of the scores; a stochastic
+    one is epsilon-greedy on it, with epsilon ``action_noise_epsilon``."""
+
     hidden_dim: int = 16
     message_passing_steps: int = 4
     action_noise_epsilon: float = 0.05
     deterministic_eval: bool = True
-    # Stochastic agents only: take the noise mixture around the argmax
-    # instead of around the softmax probabilities (epsilon-greedy).
-    epsilon_greedy: bool = False
     feasibility_masking: bool = False
 
     def __post_init__(self) -> None:
@@ -259,9 +259,9 @@ def make_agent(
     """An EnvState -> action callable for one episode.
 
     Deterministic agents act on the argmax of the scores. Stochastic agents
-    draw from (1 - eps) * p + eps * uniform, where p is the softmax, or the
-    one-hot argmax when ``config.epsilon_greedy`` is set; their noise comes
-    from a stream keyed by the episode seed, so rollouts are reproducible.
+    are epsilon-greedy on that argmax: they draw from
+    (1 - eps) * onehot(argmax) + eps * uniform, with noise from a stream
+    keyed by the episode seed, so rollouts are reproducible.
     """
     if ctx is None:
         ctx = PolicyContext.for_env(env_config)
@@ -280,7 +280,7 @@ def make_agent(
             if mask.any():
                 probs = np.where(mask, probs, 0.0)
                 probs = probs / probs.sum()
-        if config.epsilon_greedy:
+        if not config.deterministic_eval:
             greedy = np.zeros_like(probs)
             greedy[np.argmax(probs)] = 1.0
             probs = greedy
@@ -290,10 +290,11 @@ def make_agent(
 
 
 def training_variant(config: PolicyConfig) -> PolicyConfig:
-    """The twin used for fitness rollouts during training: epsilon-greedy.
+    """The stochastic twin used for fitness rollouts during training.
 
-    It acts on the argmax that deterministic evaluation scores, and with
-    probability ``action_noise_epsilon`` picks a uniformly random candidate
-    instead. At epsilon 0 its rollouts are the deterministic agent's.
+    It is epsilon-greedy: it acts on the argmax that the deterministic twin
+    (evaluation) acts on, and with probability ``action_noise_epsilon``
+    picks a uniformly random candidate instead. At epsilon 0 its rollouts
+    are the deterministic agent's.
     """
-    return replace(config, deterministic_eval=False, epsilon_greedy=True)
+    return replace(config, deterministic_eval=False)

@@ -102,10 +102,6 @@ class RunStats:
     def final_mean_return(self) -> float:
         return self.iterations[-1].mean_return if self.iterations else float("nan")
 
-    @property
-    def total_wall_seconds(self) -> float:
-        return sum(it.wall_seconds for it in self.iterations)
-
 
 def wall_time_breakdown(stats: RunStats) -> tuple[float, float, float]:
     """(eval, update, comm) fractions of total accounted run time.
@@ -169,8 +165,8 @@ def run_coordinator(
             )
             for record in records:
                 record.raw_return = float(returns[record.index])
-            shaped = shape_fitness(returns, es.shaping)
-            delta = compute_update(records, shaped, es, setup.manifest)
+            utilities = shape_fitness(returns, es.shaping)
+            delta = compute_update(records, utilities, es, setup.manifest)
             for conn in connections:
                 conn.send(UpdateBroadcast(t, delta))
             theta = PolicyParams(manifest=setup.manifest, values=theta.values + delta)
@@ -308,8 +304,6 @@ def run_inproc(
     on_iteration: Callable[[IterationStats, PolicyParams], None] | None = None,
 ) -> tuple[PolicyParams, RunStats]:
     """Coordinator plus n-1 worker threads over queue connections."""
-    if n == 1:
-        return run_coordinator(setup, theta0, [], on_iteration)
     coordinator_ends: list[QueueConnection] = []
     threads: list[threading.Thread] = []
     worker_errors: list[BaseException] = []
@@ -379,7 +373,8 @@ def run_proc(
     bind_host: str = "127.0.0.1",
     bind_port: int = 0,
 ) -> tuple[PolicyParams, RunStats]:
-    """Coordinator plus n-1 worker processes over local sockets."""
+    """Coordinator plus n-1 worker processes over local sockets; a
+    single-worker run binds no listener and spawns nothing."""
     if n == 1:
         return run_coordinator(setup, theta0, [], on_iteration)
     connections, processes, listener = serve_workers(n, spawn, bind_host, bind_port)

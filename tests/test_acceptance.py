@@ -23,7 +23,6 @@ from esotn.es import (
     evaluate_assignment,
     shape_fitness,
     toy_config,
-    train_iteration,
 )
 from esotn.policy import (
     ParamManifest,
@@ -35,7 +34,7 @@ from esotn.policy import (
     init_params,
     unflatten,
 )
-from esotn.runtime import partition_mutations
+from esotn.runtime import TrainingSetup, partition_mutations, run_coordinator
 from esotn.seeds import derive_key, standard_normal
 from esotn.topology import compute_candidate_paths, load_bundled_topology
 from esotn.wire import ReturnsReport, encode_message
@@ -214,12 +213,15 @@ class TestCriterion5ToyConvergence:
         theta = PolicyParams(manifest=manifest, values=np.zeros(10))
         distance = float("inf")
         used = 0
-        for t in range(500):
-            theta, _ = train_iteration(theta, config, t, fitness)
-            used = t + 1
-            distance = float(np.linalg.norm(theta.values - target))
-            if distance < 0.1:
-                break
+
+        def on_iteration(stats, current):
+            nonlocal distance, used
+            if distance >= 0.1:  # stop recording at the first iteration within reach
+                used = stats.t + 1
+                distance = float(np.linalg.norm(current.values - target))
+
+        setup = TrainingSetup(es=config, manifest=manifest, evaluator=fitness)
+        run_coordinator(setup, theta, [], on_iteration)
         report(
             "toy_convergence",
             distance < 0.1,
@@ -321,7 +323,7 @@ class TestCriterion7InvariantSuites:
             lambda p, s: float(np.sum(p.values**3)),  # arbitrary synthetic returns
         )
         raw = np.array([r.raw_return for r in records])
-        check("shaping_sum_zero", abs(shape_fitness(raw).utilities.sum()) < 1e-9)
+        check("shaping_sum_zero", abs(shape_fitness(raw).sum()) < 1e-9)
         delta_a = compute_update(records, shape_fitness(raw), es_config, manifest)
         delta_b = compute_update(records, shape_fitness(raw * 4.0), es_config, manifest)
         check("update_monotone_invariance", np.array_equal(delta_a, delta_b))

@@ -203,6 +203,14 @@ class TestEval:
         ) == 1
         assert "manifest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("episodes", ["0", "-1"])
+    def test_episodes_below_one_rejected(self, triangle_cfg, capsys, episodes):
+        cfg_path, _ = triangle_cfg
+        assert main(["eval", "--config", str(cfg_path), "--episodes", episodes]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--episodes" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_trace_file(self, triangle_cfg, tmp_path):
         cfg_path, _ = triangle_cfg
         trace = tmp_path / "trace.csv"
@@ -235,6 +243,19 @@ class TestBench:
     def test_bench_requires_worker_counts(self, triangle_cfg):
         cfg_path, _ = triangle_cfg
         assert main(["bench", "--config", str(cfg_path), "--workers", ""]) == 1
+
+    def test_bench_rejects_worker_count_below_one(self, triangle_cfg, capsys):
+        cfg_path, tmp_path = triangle_cfg
+        out = tmp_path / "bench_out"
+        assert main(
+            [
+                "bench", "--config", str(cfg_path), "--workers", "1,0",
+                "--mode", "inproc", "--out", str(out),
+            ]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "run.workers" in err
+        assert not (out / "bench.csv").exists()
 
 
 class TestMixedTopologies:

@@ -100,8 +100,62 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="even"):
             load_run_config(None, {"es.mutations": "7"})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "es.alpha",
+            "es.sigma",
+            "es.failure_fitness",
+            "policy.action_noise",
+            "env.link_capacity",
+            "env.demand_bandwidths",
+            "run.iter_timeout_secs",
+        ],
+    )
+    def test_non_finite_float_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"key {key}: .*not a finite number"):
+            load_run_config(None, {key: value})
+
+
+# The echo text of the default configuration. It is what config.echo.cfg,
+# checkpoint sidecars and config hashes are made of, so a schema edit that
+# changes it must show here.
+DEFAULT_ECHO = """\
+topology.files = nsfnet
+topology.k_paths = 4
+env.link_capacity = none
+env.demand_bandwidths = 8,32,64
+env.demand_seed = 0
+env.max_episode_steps = 1000
+policy.hidden_dim = 16
+policy.message_passing_steps = 4
+policy.action_noise = 0.05
+policy.feasibility_masking = false
+es.alpha = 0.25
+es.sigma = 0.05
+es.mutations = 64
+es.mirrored = true
+es.episodes_per_eval = 3
+es.iterations = 300
+es.seed = 0
+es.failure_fitness = none
+run.mode = inproc
+run.workers = 1
+run.out = runs/default
+run.checkpoint_interval = 50
+run.iter_timeout_secs = 300
+"""
+
 
 class TestEcho:
+    def test_default_echo_text_pinned(self, tmp_path):
+        items = load_run_config(None).as_items()
+        assert "".join(f"{key} = {value}\n" for key, value in items) == DEFAULT_ECHO
+        echo = tmp_path / "echo.cfg"
+        write_config_echo(load_run_config(None), echo)
+        assert echo.read_text() == "# effective configuration\n" + DEFAULT_ECHO
+
     def test_echo_round_trips(self, tmp_path):
         original = load_run_config(
             None,

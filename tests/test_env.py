@@ -10,7 +10,6 @@ from esotn.env import (
     EnvConfig,
     OtnEnv,
     TRACE_COLUMNS,
-    episode_return,
     feasible_actions,
     run_episode,
     write_episode_trace,
@@ -234,7 +233,7 @@ class TestEpisodeReturn:
         # four unit-reward allocations (16 bandwidth units) before the
         # pending demand fits nowhere.
         expected, _ = oracle_greedy_rollout(triangle_env, 0)
-        assert episode_return(greedy_first_feasible(triangle_env), triangle_env, 0) == expected
+        assert run_episode(greedy_first_feasible(triangle_env), triangle_env, 0)[0] == expected
         assert expected == 4.0
 
     def test_always_infeasible_policy_scores_prefix_only(self, triangle_env):
@@ -254,7 +253,7 @@ class TestEpisodeReturn:
 
     def test_fixed_policy_fixed_seed_deterministic(self, nsfnet_env):
         policy = greedy_first_feasible(nsfnet_env)
-        assert episode_return(policy, nsfnet_env, 42) == episode_return(policy, nsfnet_env, 42)
+        assert run_episode(policy, nsfnet_env, 42)[0] == run_episode(policy, nsfnet_env, 42)[0]
 
     def test_uniform_random_nsfnet_baseline_frozen(self, nsfnet_env):
         # Monte-Carlo reference for learning tests: uniform-random action
@@ -265,7 +264,7 @@ class TestEpisodeReturn:
             def policy(state):
                 n = len(nsfnet_env.paths.paths_for(state.pending.src, state.pending.dst))
                 return int(rng.integers(n))
-            return episode_return(policy, nsfnet_env, seed)
+            return run_episode(policy, nsfnet_env, seed)[0]
 
         baseline = np.mean([uniform_policy_return(s) for s in range(100)])
         assert baseline == pytest.approx(7.21125, abs=1e-9)

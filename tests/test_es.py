@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esotn.config import build_env_configs, load_run_config
-from esotn.env import episode_return
+from esotn.env import run_episode
 from esotn.es import (
     ESConfig,
     MutationRecord,
     ProtocolError,
-    ShapedFitness,
     compute_update,
     derive_perturbation,
     episode_seeds,
@@ -23,7 +22,6 @@ from esotn.es import (
     resolve_failures,
     shape_fitness,
     toy_config,
-    train_iteration,
 )
 from esotn.policy import (
     ParamManifest,
@@ -33,6 +31,7 @@ from esotn.policy import (
     init_params,
     make_agent,
 )
+from esotn.runtime import TrainingSetup, run_coordinator
 from esotn.seeds import TAG_ACTION, TAG_EVAL, derive_key, rng_from_key
 
 
@@ -131,39 +130,39 @@ class TestMutate:
 class TestShapeFitness:
     def test_two_returns(self):
         shaped = shape_fitness(np.array([5.0, 1.0]))
-        assert shaped.utilities == pytest.approx([0.5, -0.5])
+        assert shaped == pytest.approx([0.5, -0.5])
 
     def test_monotone_transform_invariance(self):
         raw = np.array([3.0, -1.0, 7.0, 2.0, 0.0])
         transformed = 4.0 * raw  # power-of-two scale: exact and order-preserving
         assert np.array_equal(
-            shape_fitness(raw).utilities, shape_fitness(transformed).utilities
+            shape_fitness(raw), shape_fitness(transformed)
         )
 
     def test_all_equal_returns_use_tie_break(self):
         shaped = shape_fitness(np.full(6, 2.5))
         ordered = shape_fitness(np.array([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]))
         # ties resolve by mutation index, reproducing the strictly-ordered case
-        assert np.array_equal(shaped.utilities, ordered.utilities)
-        assert abs(shaped.utilities.sum()) < 1e-9
+        assert np.array_equal(shaped, ordered)
+        assert abs(shaped.sum()) < 1e-9
 
     def test_sum_zero(self):
         rng = rng_from_key(derive_key(31))
         for _ in range(20):
-            utilities = shape_fitness(rng.normal(size=16)).utilities
+            utilities = shape_fitness(rng.normal(size=16))
             assert abs(utilities.sum()) < 1e-9
 
     def test_rank_only_dependence(self):
         raw = np.array([10.0, -5.0, 3.0, 0.5])
         squashed = np.tanh(raw / 20.0)  # strictly increasing on this range
         assert np.array_equal(
-            shape_fitness(raw).utilities, shape_fitness(squashed).utilities
+            shape_fitness(raw), shape_fitness(squashed)
         )
 
     def test_centered_mode(self):
         raw = np.array([1.0, 2.0, 6.0])
         shaped = shape_fitness(raw, method="centered")
-        assert shaped.utilities == pytest.approx(raw - 3.0)
+        assert shaped == pytest.approx(raw - 3.0)
 
     def test_rejects_single_return(self):
         with pytest.raises(ValueError, match="at least two"):
@@ -182,9 +181,9 @@ class TestShapeFitness:
         )
     )
     def test_properties_hold_for_arbitrary_returns(self, returns):
-        utilities = shape_fitness(np.array(returns)).utilities
+        utilities = shape_fitness(np.array(returns))
         assert abs(utilities.sum()) < 1e-9
-        doubled = shape_fitness(np.array(returns) * 2.0).utilities
+        doubled = shape_fitness(np.array(returns) * 2.0)
         assert np.array_equal(utilities, doubled)
 
 
@@ -217,7 +216,7 @@ class TestComputeUpdate:
         manifest = vector_manifest(6)
         seed, sign = mutation_seed_sign(config, 0, 0)
         records = [MutationRecord(0, 0, seed, sign, 1.0)]
-        delta = compute_update(records, ShapedFitness(np.array([1.0])), config, manifest)
+        delta = compute_update(records, np.array([1.0]), config, manifest)
         epsilon = derive_perturbation(manifest, seed, sign)
         assert np.array_equal(delta, 0.2 / 0.5 * epsilon)
 
@@ -244,7 +243,7 @@ class TestComputeUpdate:
         records = [
             MutationRecord(0, j, *mutation_seed_sign(config, 0, j), 1.0) for j in range(4)
         ]
-        delta = compute_update(records, ShapedFitness(np.zeros(4)), config, manifest)
+        delta = compute_update(records, np.zeros(4), config, manifest)
         assert np.array_equal(delta, np.zeros(3))
 
     def test_missing_record_is_protocol_error(self):
@@ -254,7 +253,7 @@ class TestComputeUpdate:
             MutationRecord(0, j, *mutation_seed_sign(config, 0, j), 1.0) for j in range(3)
         ]
         with pytest.raises(ProtocolError, match="4 records"):
-            compute_update(records, ShapedFitness(np.zeros(4)), config, manifest)
+            compute_update(records, np.zeros(4), config, manifest)
 
     def test_duplicate_record_is_protocol_error(self):
         config = toy_config(num_mutations=2)
@@ -262,7 +261,7 @@ class TestComputeUpdate:
         seed, sign = mutation_seed_sign(config, 0, 0)
         records = [MutationRecord(0, 0, seed, sign, 1.0)] * 2
         with pytest.raises(ProtocolError, match="do not cover"):
-            compute_update(records, ShapedFitness(np.zeros(2)), config, manifest)
+            compute_update(records, np.zeros(2), config, manifest)
 
     def test_update_invariant_under_monotone_return_transform(self):
         # End to end: doubling all raw returns must leave the update vector
@@ -293,7 +292,7 @@ class TestEvaluateMutation:
         from esotn.policy import make_agent
 
         agent = make_agent(params, policy_config, env_configs[0], seeds[0])
-        assert raw == episode_return(agent, env_configs[0], seeds[0])
+        assert raw == run_episode(agent, env_configs[0], seeds[0])[0]
 
     def test_deterministic(self, env_setup):
         policy_config, env_configs = env_setup
@@ -302,30 +301,34 @@ class TestEvaluateMutation:
         assert evaluate_mutation(params, policy_config, env_configs, seeds) == \
             evaluate_mutation(params, policy_config, env_configs, seeds)
 
-    def test_zero_params_match_handwritten_uniform_agent(self, triangle_env):
-        # Zero parameters give uniform probabilities; with a stochastic
-        # rollout the action stream must match an independent agent that
-        # samples uniformly from the same noise stream.
+    def test_zero_params_match_handwritten_epsilon_greedy_agent(self, triangle_env):
+        # Zero parameters give uniform probabilities, whose argmax is
+        # candidate 0; a stochastic rollout must match an independent agent
+        # that draws from (1 - eps) * onehot(0) + eps / n on the same noise
+        # stream.
+        eps = 0.5
         policy_config = PolicyConfig(
             hidden_dim=4, message_passing_steps=1, deterministic_eval=False,
-            action_noise_epsilon=0.0,
+            action_noise_epsilon=eps,
         )
         manifest = build_manifest(policy_config)
         params = PolicyParams(manifest=manifest, values=np.zeros(manifest.total_dim))
         seeds = [derive_key(3, i) for i in range(5)]
         raw = evaluate_mutation(params, policy_config, [triangle_env], seeds)
 
-        def uniform_agent(episode_seed):
+        def epsilon_greedy_agent(episode_seed):
             rng = rng_from_key(derive_key(TAG_ACTION, episode_seed))
             def act(state):
                 n = len(triangle_env.paths.paths_for(state.pending.src, state.pending.dst))
-                cdf = np.cumsum(np.full(n, 1.0 / n))
+                mixture = np.full(n, eps / n)
+                mixture[0] += 1.0 - eps
+                cdf = np.cumsum(mixture)
                 draw = rng.random() * cdf[-1]
                 return min(int(np.searchsorted(cdf, draw, side="right")), n - 1)
             return act
 
         expected = np.mean(
-            [episode_return(uniform_agent(s), triangle_env, s) for s in seeds]
+            [run_episode(epsilon_greedy_agent(s), triangle_env, s)[0] for s in seeds]
         )
         assert raw == expected
 
@@ -348,7 +351,7 @@ class TestFitnessEvaluator:
         seeds = [derive_key(TAG_EVAL, 0, i) for i in range(8)]
         fitness = make_fitness_evaluator([env_config], policy_config)(params, seeds)
         argmax_returns = [
-            episode_return(make_agent(params, policy_config, env_config), env_config, s)
+            run_episode(make_agent(params, policy_config, env_config), env_config, s)[0]
             for s in seeds
         ]
         assert fitness == np.mean(argmax_returns)
@@ -377,19 +380,26 @@ class TestEvaluateAssignment:
         assert sum(math.isnan(r) for r in raws) >= 1
 
 
+def run_sequential(theta, config, fitness, on_iteration=None):
+    """Train on one worker; returns the final parameters and the stats."""
+    setup = TrainingSetup(es=config, manifest=theta.manifest, evaluator=fitness)
+    return run_coordinator(setup, theta, [], on_iteration)
+
+
 class TestTrainIteration:
     def test_deterministic(self):
-        config = toy_config(num_mutations=8)
+        config = toy_config(num_mutations=8, iterations=4)
         theta = vector_params(np.zeros(5))
         fitness = lambda p, s: -float(np.sum(p.values**2))
-        a, _ = train_iteration(theta, config, 3, fitness)
-        b, _ = train_iteration(theta, config, 3, fitness)
+        a, _ = run_sequential(theta, config, fitness)
+        b, _ = run_sequential(theta, config, fitness)
         assert np.array_equal(a.values, b.values)
 
     def test_stats_fields(self):
-        config = toy_config(num_mutations=4)
+        config = toy_config(num_mutations=4, iterations=1)
         theta = vector_params(np.zeros(3))
-        new_theta, stats = train_iteration(theta, config, 0, lambda p, s: float(p.values[0]))
+        new_theta, run = run_sequential(theta, config, lambda p, s: float(p.values[0]))
+        (stats,) = run.iterations
         assert stats.t == 0
         assert stats.worst_return <= stats.mean_return <= stats.best_return
         assert stats.eval_seconds >= 0
@@ -397,34 +407,35 @@ class TestTrainIteration:
 
     def test_quadratic_toy_converges(self):
         # Small-scale twin of the full acceptance run.
-        config = toy_config(num_mutations=32, alpha=0.05, sigma=0.1)
+        config = toy_config(num_mutations=32, alpha=0.05, sigma=0.1, iterations=200)
         rng = rng_from_key(derive_key(404))
         target = rng.normal(size=10)
         target /= np.linalg.norm(target)
         fitness = lambda p, s: -float(np.sum((p.values - target) ** 2))
-        theta = vector_params(np.zeros(10))
-        for t in range(200):
-            theta, _ = train_iteration(theta, config, t, fitness)
+        hits = []
+
+        def on_iteration(stats, theta):
             if np.linalg.norm(theta.values - target) < 0.1:
-                break
-        assert np.linalg.norm(theta.values - target) < 0.1
+                hits.append(stats.t)
+
+        run_sequential(vector_params(np.zeros(10)), config, fitness, on_iteration)
+        assert hits, "never within 0.1 of the target in 200 iterations"
 
     def test_linear_fitness_mean_update_aligns_with_gradient(self):
         # Centered shaping on F(theta) = g . theta: the average update
-        # direction converges to g.
+        # direction converges to g. The update does not depend on theta
+        # here, so the summed updates are the distance travelled.
         dim = 8
         config = toy_config(
-            num_mutations=8, alpha=0.05, sigma=0.1, shaping="centered"
+            num_mutations=8, alpha=0.05, sigma=0.1, shaping="centered", iterations=2000
         )
         rng = rng_from_key(derive_key(505))
         g = rng.normal(size=dim)
         g /= np.linalg.norm(g)
         fitness = lambda p, s: float(g @ p.values)
         theta = vector_params(np.zeros(dim))
-        total = np.zeros(dim)
-        for t in range(2000):
-            new_theta, _ = train_iteration(theta, config, t, fitness)
-            total += new_theta.values - theta.values
+        final, _ = run_sequential(theta, config, fitness)
+        total = final.values - theta.values
         cosine = total @ g / np.linalg.norm(total)
         assert cosine > 0.95
 
@@ -465,7 +476,7 @@ class TestTrainIteration:
             for t in range(trials):
                 records = evaluate_assignment(theta, config, t, range(8), fitness)
                 raw = np.array([r.raw_return for r in records])
-                out[t] = compute_update(records, ShapedFitness(raw), config, theta.manifest)
+                out[t] = compute_update(records, raw, config, theta.manifest)
             return out
 
         trials = 10_000

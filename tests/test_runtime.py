@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esotn.es import ProtocolError, toy_config, train_iteration
+from esotn.es import (
+    ProtocolError,
+    compute_update,
+    evaluate_assignment,
+    resolve_failures,
+    shape_fitness,
+    toy_config,
+)
 from esotn.policy import ParamManifest, PolicyParams
 from esotn.runtime import (
     ConfigurationError,
@@ -91,12 +98,15 @@ class TestPartition:
 
 
 class TestCoordinatorSingle:
-    def test_matches_sequential_train_iteration(self):
+    def test_matches_sequential_composition(self):
         setup, theta0 = quadratic_setup()
         final, stats = run_coordinator(setup, theta0, [])
-        theta = theta0
-        for t in range(setup.es.iterations):
-            theta, _ = train_iteration(theta, setup.es, t, setup.evaluator)
+        es, theta = setup.es, theta0
+        for t in range(es.iterations):
+            records = evaluate_assignment(theta, es, t, range(es.num_mutations), setup.evaluator)
+            returns = resolve_failures(np.array([r.raw_return for r in records]), es)
+            delta = compute_update(records, shape_fitness(returns, es.shaping), es, setup.manifest)
+            theta = PolicyParams(manifest=setup.manifest, values=theta.values + delta)
         assert np.array_equal(final.values, theta.values)
         assert len(stats.iterations) == setup.es.iterations
 
@@ -108,6 +118,15 @@ class TestCoordinatorSingle:
 
 
 class TestInproc:
+    def test_single_worker_is_the_coordinator_alone(self):
+        setup, theta0 = quadratic_setup()
+        solo, solo_stats = run_coordinator(setup, theta0, [])
+        inproc, inproc_stats = run_inproc(setup, theta0, 1)
+        assert np.array_equal(solo.values, inproc.values)
+        assert [it.mean_return for it in inproc_stats.iterations] == [
+            it.mean_return for it in solo_stats.iterations
+        ]
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_worker_count_invariance(self, n):
         setup, theta0 = quadratic_setup()
