@@ -147,11 +147,11 @@ def _run_training(
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, _collect_overrides(args))
+    setup, theta0 = build_training_setup(config)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     echo_path = out / "config.echo.cfg"
     write_config_echo(config, echo_path)
-    setup, theta0 = build_training_setup(config)
 
     sidecar = dict(config.as_items())
     start = time.perf_counter()
@@ -250,7 +250,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    worker_counts = [int(part) for part in args.workers.split(",") if part.strip()]
+    try:
+        worker_counts = [int(part) for part in args.workers.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--workers: cannot parse {args.workers!r}: {exc}") from None
     if not worker_counts:
         raise ConfigError("bench needs at least one worker count")
     overrides = _collect_overrides(args)

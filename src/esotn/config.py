@@ -127,6 +127,14 @@ class RunConfig:
             raise ConfigError(f"run.workers must be >= 1, got {self.workers}")
         if not self.topology_files:
             raise ConfigError("topology.files must list at least one topology")
+        if self.k_paths < 1:
+            raise ConfigError(f"topology.k_paths must be >= 1, got {self.k_paths}")
+        if self.link_capacity is not None and self.link_capacity <= 0:
+            raise ConfigError(f"env.link_capacity must be > 0, got {self.link_capacity}")
+        if self.max_episode_steps is not None and self.max_episode_steps < 1:
+            raise ConfigError(f"env.max_episode_steps must be >= 1, got {self.max_episode_steps}")
+        if self.iter_timeout_secs <= 0:
+            raise ConfigError(f"run.iter_timeout_secs must be > 0, got {self.iter_timeout_secs}")
 
     def as_items(self) -> list[tuple[str, str]]:
         """The effective configuration as echo-format key/value text pairs."""
@@ -213,15 +221,17 @@ def build_env_configs(config: RunConfig) -> list[EnvConfig]:
     for entry in config.topology_files:
         topo = resolve_topology(entry, config.link_capacity)
         paths = compute_candidate_paths(topo, config.k_paths)
-        envs.append(
-            EnvConfig(
+        try:
+            env = EnvConfig(
                 topology=topo,
                 paths=paths,
                 demand_bandwidths=config.demand_bandwidths,
                 demand_rng_seed=config.demand_seed,
                 max_episode_steps=config.max_episode_steps,
             )
-        )
+        except ValueError as exc:  # bandwidths against this topology's capacities
+            raise ConfigError(f"env.demand_bandwidths/env.link_capacity: {exc}") from None
+        envs.append(env)
     return envs
 
 

@@ -128,9 +128,6 @@ class OtnEnv:
             pending=self._stream.sample(),
         )
 
-    def feasible_actions(self, state: EnvState) -> np.ndarray:
-        return feasible_actions(state, self.config.paths)
-
     def step(self, state: EnvState, action: int) -> tuple[EnvState, float, bool]:
         """Route the pending demand over candidate path ``action``.
 

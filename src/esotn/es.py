@@ -23,7 +23,6 @@ from .policy import (
     PolicyContext,
     PolicyParams,
     make_agent,
-    training_variant,
 )
 from .seeds import TAG_EPISODE, TAG_PERTURBATION, derive_key, standard_normal
 
@@ -109,44 +108,25 @@ def mutate(theta: PolicyParams, epsilon: np.ndarray, sigma: float) -> PolicyPara
     return PolicyParams(manifest=theta.manifest, values=theta.values + sigma * epsilon)
 
 
-def evaluate_mutation(
-    params: PolicyParams,
-    policy_config: PolicyConfig,
-    env_configs: Sequence[EnvConfig],
-    seeds: Sequence[int],
-    contexts: Sequence[PolicyContext] | None = None,
-) -> float:
-    """Mean episode return over the given seeds, NaN on evaluation failure.
-
-    Multiple environments interleave round-robin across the episode seeds
-    (mixed-topology training). Failures are logged and surface as NaN, which
-    the iteration later resolves to the configured failure fitness.
-    """
-    if contexts is None:
-        contexts = [PolicyContext.for_env(cfg) for cfg in env_configs]
-    try:
-        total = 0.0
-        for i, seed in enumerate(seeds):
-            env_config = env_configs[i % len(env_configs)]
-            agent = make_agent(params, policy_config, env_config, seed, contexts[i % len(contexts)])
-            total += run_episode(agent, env_config, seed)[0]
-        return total / len(seeds)
-    except Exception:
-        log.exception("mutation evaluation failed; scoring with failure fitness")
-        return math.nan
-
-
 def make_fitness_evaluator(
     env_configs: Sequence[EnvConfig], policy_config: PolicyConfig
 ) -> Evaluator:
-    """Fitness function for training: mean return of epsilon-greedy rollouts
-    (see ``training_variant``) over the envs, so that ES improves the argmax
-    policy that evaluation scores."""
+    """Fitness function for training: the mean return, over the episode
+    seeds, of a stochastic agent (``deterministic_eval`` forced off), so
+    that ES improves the argmax policy that evaluation scores. Multiple
+    envs interleave round-robin across the seeds (mixed-topology training).
+    Errors propagate to ``evaluate_assignment``, which logs them and scores
+    the mutation as NaN."""
     contexts = [PolicyContext.for_env(cfg) for cfg in env_configs]
-    rollout_config = training_variant(policy_config)
+    rollout_config = replace(policy_config, deterministic_eval=False)
 
     def evaluate(params: PolicyParams, seeds: Sequence[int]) -> float:
-        return evaluate_mutation(params, rollout_config, env_configs, seeds, contexts)
+        total = 0.0
+        for i, seed in enumerate(seeds):
+            env_config = env_configs[i % len(env_configs)]
+            agent = make_agent(params, rollout_config, env_config, seed, contexts[i % len(contexts)])
+            total += run_episode(agent, env_config, seed)[0]
+        return total / len(seeds)
 
     return evaluate
 

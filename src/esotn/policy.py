@@ -13,7 +13,7 @@ forward pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -21,7 +21,6 @@ import numpy as np
 
 from .env import EnvConfig, EnvState, feasible_actions
 from .seeds import TAG_ACTION, TAG_INIT, derive_key, rng_from_key
-from .topology import Topology
 
 LINK_FEATURES = 3
 
@@ -74,8 +73,9 @@ class PolicyParams:
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """A deterministic agent acts on the argmax of the scores; a stochastic
-    one is epsilon-greedy on it, with epsilon ``action_noise_epsilon``."""
+    """Agent settings for the action rule of ``make_agent``: the argmax for
+    a deterministic agent (evaluation), epsilon-greedy on it with epsilon
+    ``action_noise_epsilon`` for a stochastic one (training rollouts)."""
 
     hidden_dim: int = 16
     message_passing_steps: int = 4
@@ -150,7 +150,8 @@ class PolicyContext:
     max_bandwidth: float
 
     @staticmethod
-    def build(topology: Topology, max_bandwidth: float) -> "PolicyContext":
+    def for_env(config: EnvConfig) -> "PolicyContext":
+        topology = config.topology
         caps = topology.capacities
         n_links = len(topology.links)
         adj = np.zeros((n_links, n_links), dtype=np.float64)
@@ -165,12 +166,8 @@ class PolicyContext:
             capacities=caps,
             link_adjacency=adj,
             max_capacity=float(caps.max()),
-            max_bandwidth=max_bandwidth,
+            max_bandwidth=config.max_bandwidth,
         )
-
-    @staticmethod
-    def for_env(config: EnvConfig) -> "PolicyContext":
-        return PolicyContext.build(config.topology, config.max_bandwidth)
 
 
 def forward(
@@ -231,22 +228,14 @@ def _message_steps(manifest: ParamManifest) -> int:
     return sum(1 for name, _ in manifest.tensors if name.endswith(".w") and name.startswith("message."))
 
 
-def sample_action(
-    probs: np.ndarray, config: PolicyConfig, rng: np.random.Generator | None
-) -> int:
-    """Argmax when deterministic, else a draw from the noise-mixed distribution.
-
-    The sampling distribution is (1 - eps) * probs + eps * uniform.
-    """
-    if config.deterministic_eval:
-        return int(np.argmax(probs))
-    if rng is None:
-        raise ValueError("stochastic action sampling needs an rng")
-    eps = config.action_noise_epsilon
-    mixture = (1.0 - eps) * probs + eps / probs.shape[0]
+def epsilon_greedy(greedy: int, n: int, eps: float, rng: np.random.Generator) -> int:
+    """One draw from (1 - eps) * onehot(greedy) + eps * uniform over n
+    candidates, consuming exactly one ``rng.random()``."""
+    mixture = np.full(n, eps / n)
+    mixture[greedy] += 1.0 - eps
     cdf = np.cumsum(mixture)
     draw = rng.random() * cdf[-1]
-    return min(int(np.searchsorted(cdf, draw, side="right")), probs.shape[0] - 1)
+    return min(int(np.searchsorted(cdf, draw, side="right")), n - 1)
 
 
 def make_agent(
@@ -258,10 +247,10 @@ def make_agent(
 ) -> Callable[[EnvState], int]:
     """An EnvState -> action callable for one episode.
 
-    Deterministic agents act on the argmax of the scores. Stochastic agents
-    are epsilon-greedy on that argmax: they draw from
-    (1 - eps) * onehot(argmax) + eps * uniform, with noise from a stream
-    keyed by the episode seed, so rollouts are reproducible.
+    The one action rule: the argmax of ``forward`` (lowest index on ties),
+    over the feasible candidates when ``feasibility_masking`` is on and any
+    is feasible. A deterministic agent returns it; a stochastic one is
+    epsilon-greedy on it, drawing from a stream keyed by the episode seed.
     """
     if ctx is None:
         ctx = PolicyContext.for_env(env_config)
@@ -279,22 +268,9 @@ def make_agent(
             mask = feasible_actions(state, paths)
             if mask.any():
                 probs = np.where(mask, probs, 0.0)
-                probs = probs / probs.sum()
-        if not config.deterministic_eval:
-            greedy = np.zeros_like(probs)
-            greedy[np.argmax(probs)] = 1.0
-            probs = greedy
-        return sample_action(probs, config, rng)
+        greedy = int(np.argmax(probs))
+        if rng is None:
+            return greedy
+        return epsilon_greedy(greedy, len(candidates), config.action_noise_epsilon, rng)
 
     return act
-
-
-def training_variant(config: PolicyConfig) -> PolicyConfig:
-    """The stochastic twin used for fitness rollouts during training.
-
-    It is epsilon-greedy: it acts on the argmax that the deterministic twin
-    (evaluation) acts on, and with probability ``action_noise_epsilon``
-    picks a uniformly random candidate instead. At epsilon 0 its rollouts
-    are the deterministic agent's.
-    """
-    return replace(config, deterministic_eval=False)

@@ -163,8 +163,6 @@ def run_coordinator(
             returns = resolve_failures(
                 np.array([r.raw_return for r in sorted(records, key=lambda r: r.index)]), es
             )
-            for record in records:
-                record.raw_return = float(returns[record.index])
             utilities = shape_fitness(returns, es.shaping)
             delta = compute_update(records, utilities, es, setup.manifest)
             for conn in connections:

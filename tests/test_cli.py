@@ -224,6 +224,23 @@ class TestEval:
         assert header == "step,src,dst,bandwidth,action,reward,done"
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("topology.k_paths=0", "topology.k_paths"),
+        ("env.max_episode_steps=0", "env.max_episode_steps"),
+        ("env.link_capacity=-5", "env.link_capacity"),
+        ("env.demand_bandwidths=1000", "env.demand_bandwidths"),
+    ],
+)
+def test_bad_env_value_fails_with_one_line(tmp_path, capsys, command, override, key):
+    assert main([command, "--set", override, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestBench:
     def test_tiny_bench_csv(self, triangle_cfg, capsys):
         cfg_path, tmp_path = triangle_cfg
@@ -243,6 +260,13 @@ class TestBench:
     def test_bench_requires_worker_counts(self, triangle_cfg):
         cfg_path, _ = triangle_cfg
         assert main(["bench", "--config", str(cfg_path), "--workers", ""]) == 1
+
+    def test_bench_rejects_unparsable_worker_count(self, triangle_cfg, capsys):
+        cfg_path, _ = triangle_cfg
+        assert main(["bench", "--config", str(cfg_path), "--workers", "1,a"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'a'" in err
+        assert len(err.splitlines()) == 1
 
     def test_bench_rejects_worker_count_below_one(self, triangle_cfg, capsys):
         cfg_path, tmp_path = triangle_cfg

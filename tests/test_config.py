@@ -96,6 +96,11 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="run.mode"):
             load_run_config(None, {"run.mode": "cluster"})
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_iter_timeout_names_key(self, value):
+        with pytest.raises(ConfigError, match="run.iter_timeout_secs"):
+            load_run_config(None, {"run.iter_timeout_secs": value})
+
     def test_invalid_es_values_surface_as_config_error(self):
         with pytest.raises(ConfigError, match="even"):
             load_run_config(None, {"es.mutations": "7"})

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from esotn.es import (
     derive_perturbation,
     episode_seeds,
     evaluate_assignment,
-    evaluate_mutation,
     make_fitness_evaluator,
     mutate,
     mutation_seed_sign,
@@ -288,33 +288,33 @@ class TestEvaluateMutation:
         policy_config, env_configs = env_setup
         params = init_params(policy_config, 0)
         seeds = [derive_key(1, 0)]
-        raw = evaluate_mutation(params, policy_config, env_configs, seeds)
-        from esotn.policy import make_agent
-
-        agent = make_agent(params, policy_config, env_configs[0], seeds[0])
+        raw = make_fitness_evaluator(env_configs, policy_config)(params, seeds)
+        rollout_config = replace(policy_config, deterministic_eval=False)
+        agent = make_agent(params, rollout_config, env_configs[0], seeds[0])
         assert raw == run_episode(agent, env_configs[0], seeds[0])[0]
 
     def test_deterministic(self, env_setup):
         policy_config, env_configs = env_setup
         params = init_params(policy_config, 1)
         seeds = [derive_key(2, i) for i in range(3)]
-        assert evaluate_mutation(params, policy_config, env_configs, seeds) == \
-            evaluate_mutation(params, policy_config, env_configs, seeds)
+        evaluate = make_fitness_evaluator(env_configs, policy_config)
+        assert evaluate(params, seeds) == evaluate(params, seeds)
 
     def test_zero_params_match_handwritten_epsilon_greedy_agent(self, triangle_env):
         # Zero parameters give uniform probabilities, whose argmax is
-        # candidate 0; a stochastic rollout must match an independent agent
+        # candidate 0; a fitness rollout must match an independent agent
         # that draws from (1 - eps) * onehot(0) + eps / n on the same noise
-        # stream.
+        # stream. The config passed in is a deterministic one, so this also
+        # checks that the fitness rollouts are the stochastic agent's.
         eps = 0.5
         policy_config = PolicyConfig(
-            hidden_dim=4, message_passing_steps=1, deterministic_eval=False,
-            action_noise_epsilon=eps,
+            hidden_dim=4, message_passing_steps=1, action_noise_epsilon=eps
         )
+        assert policy_config.deterministic_eval
         manifest = build_manifest(policy_config)
         params = PolicyParams(manifest=manifest, values=np.zeros(manifest.total_dim))
         seeds = [derive_key(3, i) for i in range(5)]
-        raw = evaluate_mutation(params, policy_config, [triangle_env], seeds)
+        raw = make_fitness_evaluator([triangle_env], policy_config)(params, seeds)
 
         def epsilon_greedy_agent(episode_seed):
             rng = rng_from_key(derive_key(TAG_ACTION, episode_seed))
@@ -333,11 +333,13 @@ class TestEvaluateMutation:
         assert raw == expected
 
     def test_failure_becomes_nan(self, env_setup):
-        policy_config, env_configs = env_setup
-        manifest = build_manifest(policy_config)
-        params = PolicyParams(manifest=manifest, values=np.zeros(manifest.total_dim))
-        # sabotage: env list empty triggers an exception inside evaluation
-        assert math.isnan(evaluate_mutation(params, policy_config, [], [derive_key(0)]))
+        policy_config, _ = env_setup
+        config = toy_config(num_mutations=2)
+        theta = init_params(policy_config, 0)
+        # sabotage: an empty env list makes every evaluation raise
+        evaluator = make_fitness_evaluator([], policy_config)
+        (record,) = evaluate_assignment(theta, config, 0, [0], evaluator)
+        assert math.isnan(record.raw_return)
 
 
 class TestFitnessEvaluator:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,11 @@ from esotn.policy import (
     PolicyContext,
     PolicyParams,
     build_manifest,
+    epsilon_greedy,
     flatten,
     forward,
     init_params,
     make_agent,
-    sample_action,
-    training_variant,
     unflatten,
 )
 from esotn.seeds import derive_key, rng_from_key
@@ -192,37 +193,47 @@ class TestForward:
 
 
 class TestSampleAction:
-    def test_deterministic_argmax(self):
-        config = PolicyConfig(deterministic_eval=True)
-        assert sample_action(np.array([0.2, 0.8]), config, None) == 1
+    def test_deterministic_argmax(self, diamond_env):
+        config = PolicyConfig(hidden_dim=4, message_passing_steps=1)
+        params = init_params(config, 2)
+        state = fresh_state(diamond_env)
+        state.pending = Demand(0, 3, 4.0)
+        state.residual[0] = 3.0  # break the symmetry
+        probs = forward(
+            params, PolicyContext.for_env(diamond_env), state, diamond_env.paths.path_arrays(0, 3)
+        )
+        assert probs[1] > probs[0]
+        assert make_agent(params, config, diamond_env)(state) == 1
 
-    def test_argmax_tie_breaks_to_lowest_index(self):
-        config = PolicyConfig(deterministic_eval=True)
-        assert sample_action(np.array([0.4, 0.4, 0.2]), config, None) == 0
+    def test_argmax_tie_breaks_to_lowest_index(self, diamond_env):
+        # Zero parameters score every candidate alike.
+        config = PolicyConfig()
+        manifest = build_manifest(config)
+        params = PolicyParams(manifest=manifest, values=np.zeros(manifest.total_dim))
+        state = fresh_state(diamond_env)
+        state.pending = Demand(0, 3, 4.0)
+        assert make_agent(params, config, diamond_env)(state) == 0
 
     def test_zero_epsilon_matches_probs(self):
-        config = PolicyConfig(deterministic_eval=False, action_noise_epsilon=0.0)
         rng = rng_from_key(derive_key(1))
-        draws = [sample_action(np.array([0.0, 1.0]), config, rng) for _ in range(200)]
+        draws = [epsilon_greedy(1, 2, 0.0, rng) for _ in range(200)]
         assert all(d == 1 for d in draws)
 
     def test_epsilon_mixture_frequency(self):
-        # probs [1, 0], eps 0.1: index 1 appears with probability
+        # greedy 0 of 2, eps 0.1: index 1 appears with probability
         # eps/2 = 0.05; check 10^5 samples within +-0.005.
-        config = PolicyConfig(deterministic_eval=False, action_noise_epsilon=0.1)
         rng = rng_from_key(derive_key(2))
-        probs = np.array([1.0, 0.0])
-        hits = sum(sample_action(probs, config, rng) for _ in range(100_000))
+        hits = sum(epsilon_greedy(0, 2, 0.1, rng) for _ in range(100_000))
         assert abs(hits / 100_000 - 0.05) < 0.005
 
     def test_epsilon_one_rejected_by_config(self):
         with pytest.raises(ValueError):
             PolicyConfig(action_noise_epsilon=1.0)
 
-    def test_stochastic_needs_rng(self):
+    def test_stochastic_needs_rng(self, diamond_env):
         config = PolicyConfig(deterministic_eval=False)
-        with pytest.raises(ValueError, match="rng"):
-            sample_action(np.array([1.0]), config, None)
+        with pytest.raises(ValueError, match="episode_seed"):
+            make_agent(init_params(config, 0), config, diamond_env)
 
 
 class TestFlatten:
@@ -250,11 +261,6 @@ class TestFlatten:
 
 
 class TestAgent:
-    def test_training_variant_is_stochastic(self):
-        config = PolicyConfig()
-        assert config.deterministic_eval
-        assert not training_variant(config).deterministic_eval
-
     def test_agent_runs_episode(self, diamond_env):
         params = init_params(PolicyConfig(hidden_dim=4, message_passing_steps=1), 0)
         agent = make_agent(params, PolicyConfig(hidden_dim=4, message_passing_steps=1),
@@ -264,13 +270,20 @@ class TestAgent:
         candidates = diamond_env.paths.paths_for(state.pending.src, state.pending.dst)
         assert 0 <= action < len(candidates)
 
-    def test_feasibility_masking_renormalizes(self, diamond_env):
-        config = PolicyConfig(hidden_dim=4, message_passing_steps=0, feasibility_masking=True)
-        params = init_params(config, 2)
-        agent = make_agent(params, config, diamond_env, episode_seed=1)
+    @pytest.mark.parametrize("deterministic", [True, False], ids=["argmax", "epsilon_greedy"])
+    def test_feasibility_masking_avoids_blocked_path(self, diamond_env, deterministic):
+        # Zero parameters tie the two candidates, so the unmasked argmax is
+        # the first; with it blocked, the masked agent must take the second.
+        # The epsilon-greedy agent at eps 0 is the training-rollout agent.
+        config = PolicyConfig(
+            message_passing_steps=0, deterministic_eval=deterministic, action_noise_epsilon=0.0
+        )
+        manifest = build_manifest(config)
+        params = PolicyParams(manifest=manifest, values=np.zeros(manifest.total_dim))
         state = fresh_state(diamond_env, 1)
         state.pending = Demand(0, 3, 4.0)
-        # block the first candidate; the masked agent must avoid it
         first_path = diamond_env.paths.path_arrays(0, 3)[0]
         state.residual[first_path[0]] = 1.0
-        assert agent(state) == 1
+        assert make_agent(params, config, diamond_env, episode_seed=1)(state) == 0
+        masked = replace(config, feasibility_masking=True)
+        assert make_agent(params, masked, diamond_env, episode_seed=1)(state) == 1
