@@ -198,9 +198,10 @@ def write_config_echo(config: RunConfig, path: str | Path) -> None:
 
 
 def resolve_topology(entry: str, link_capacity: float | None) -> Topology:
-    """A config topology entry is either a file path or a bundled name."""
+    """A config topology entry is either a file path or a bundled name (a
+    directory of that name, such as an earlier run's output, is neither)."""
     path = Path(entry)
-    if path.exists():
+    if path.is_file():
         topo = load_topology(path.read_text(encoding="utf-8"), name=path.stem)
     elif entry in bundled_topology_names():
         topo = load_bundled_topology(entry)

@@ -71,27 +71,38 @@ class DemandStream:
     Draw i is a pure function of (demand_rng_seed, episode_seed, i): each
     draw uses its own counter-based generator, so streams are bit-identical
     across platforms and independent of how episodes are scheduled.
+
+    ``memo``, when given, maps draw index -> Demand for this config and
+    episode seed, and may be shared by every stream of that pair: a draw is
+    computed only when missing and stored with ``setdefault``, so streams
+    on concurrent threads can only store the same value twice. The memo
+    grows by one entry per draw index reached; its owner bounds it.
     """
 
-    def __init__(self, config: EnvConfig, episode_seed: int) -> None:
+    def __init__(
+        self, config: EnvConfig, episode_seed: int, memo: dict[int, Demand] | None = None
+    ) -> None:
         self._node_count = config.topology.node_count
         self._bandwidths = config.demand_bandwidths
         self._base_seed = config.demand_rng_seed
         self._episode_seed = episode_seed
         self._draw_index = 0
+        self._memo = {} if memo is None else memo
 
     def sample(self) -> Demand:
         """Draw the next demand, uniform over ordered pairs and bandwidths."""
-        rng = rng_from_key(
-            derive_key(TAG_DEMAND, self._base_seed, self._episode_seed, self._draw_index)
-        )
+        i = self._draw_index
         self._draw_index += 1
+        demand = self._memo.get(i)
+        if demand is not None:
+            return demand
+        rng = rng_from_key(derive_key(TAG_DEMAND, self._base_seed, self._episode_seed, i))
         n = self._node_count
         pair = int(rng.integers(n * (n - 1)))
         bw = self._bandwidths[int(rng.integers(len(self._bandwidths)))]
         src, rem = divmod(pair, n - 1)
         dst = rem + 1 if rem >= src else rem
-        return Demand(src=src, dst=dst, bandwidth=bw)
+        return self._memo.setdefault(i, Demand(src=src, dst=dst, bandwidth=bw))
 
 
 def feasible_actions(state: EnvState, paths: CandidatePathTable) -> np.ndarray:
@@ -111,8 +122,9 @@ def feasible_actions(state: EnvState, paths: CandidatePathTable) -> np.ndarray:
 class OtnEnv:
     """Allocation MDP over one topology.
 
-    One instance per episode loop; instances share nothing mutable, so any
-    number may run concurrently.
+    One instance per episode loop; instances share nothing mutable but an
+    optional demand memo, whose entries never change, so any number may run
+    concurrently.
     """
 
     def __init__(self, config: EnvConfig) -> None:
@@ -120,9 +132,10 @@ class OtnEnv:
         self._capacities = config.topology.capacities
         self._stream: DemandStream | None = None
 
-    def reset(self, episode_seed: int) -> EnvState:
-        """Restore full capacity and draw the first pending demand."""
-        self._stream = DemandStream(self.config, episode_seed)
+    def reset(self, episode_seed: int, demand_memo: dict[int, Demand] | None = None) -> EnvState:
+        """Restore full capacity and draw the first pending demand
+        (``demand_memo``: see ``DemandStream``)."""
+        self._stream = DemandStream(self.config, episode_seed, demand_memo)
         return EnvState(
             residual=self._capacities.copy(),
             pending=self._stream.sample(),
@@ -168,10 +181,11 @@ def run_episode(
     config: EnvConfig,
     episode_seed: int,
     trace: list[tuple] | None = None,
+    demand_memo: dict[int, Demand] | None = None,
 ) -> tuple[float, EnvState]:
     """Roll one episode to termination; returns (undiscounted reward sum, final state)."""
     env = OtnEnv(config)
-    state = env.reset(episode_seed)
+    state = env.reset(episode_seed, demand_memo)
     total = 0.0
     done = False
     while not done:

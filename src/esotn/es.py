@@ -116,16 +116,35 @@ def make_fitness_evaluator(
     that ES improves the argmax policy that evaluation scores. Multiple
     envs interleave round-robin across the seeds (mixed-topology training).
     Errors propagate to ``evaluate_assignment``, which logs them and scores
-    the mutation as NaN."""
+    the mutation as NaN.
+
+    Every mutation of an iteration replays the same demand streams, so the
+    closure memoises demand draws by (env index, episode seed, draw index).
+    The memo is replaced whenever a call's seeds differ from the previous
+    call's, so it holds one iteration's draws: at most episodes_per_eval x
+    (longest episode + 1) entries, where ``max_episode_steps`` bounds the
+    episode. Threads sharing the evaluator store each draw with
+    ``setdefault`` (see ``DemandStream``), and every value is a pure
+    function of its key, so a race can cost a redundant draw but never
+    change a return."""
     contexts = [PolicyContext.for_env(cfg) for cfg in env_configs]
     rollout_config = replace(policy_config, deterministic_eval=False)
+    memo: tuple[tuple[int, ...], dict] = ((), {})
 
     def evaluate(params: PolicyParams, seeds: Sequence[int]) -> float:
+        nonlocal memo
+        seeds = tuple(seeds)
+        seen, draws = memo
+        if seen != seeds:
+            draws = {}
+            memo = (seeds, draws)
         total = 0.0
         for i, seed in enumerate(seeds):
-            env_config = env_configs[i % len(env_configs)]
-            agent = make_agent(params, rollout_config, env_config, seed, contexts[i % len(contexts)])
-            total += run_episode(agent, env_config, seed)[0]
+            e = i % len(env_configs)
+            env_config = env_configs[e]
+            agent = make_agent(params, rollout_config, env_config, seed, contexts[e])
+            demand_memo = draws.setdefault((e, seed), {})
+            total += run_episode(agent, env_config, seed, demand_memo=demand_memo)[0]
         return total / len(seeds)
 
     return evaluate

@@ -203,6 +203,16 @@ class TestEval:
         ) == 1
         assert "manifest" in capsys.readouterr().err
 
+    def test_directory_does_not_shadow_bundled_topology(self, tmp_path, monkeypatch, capsys):
+        # For example the run directory of an earlier `--out geant2`.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "geant2").mkdir()
+        assert main(
+            ["eval", "--set", "topology.files=geant2", "--set", "policy.hidden_dim=4",
+             "--episodes", "1"]
+        ) == 0
+        assert "evaluated 1 episodes" in capsys.readouterr().out
+
     @pytest.mark.parametrize("episodes", ["0", "-1"])
     def test_episodes_below_one_rejected(self, triangle_cfg, capsys, episodes):
         cfg_path, _ = triangle_cfg

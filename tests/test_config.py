@@ -190,6 +190,11 @@ class TestTopologyResolution:
         assert topo.node_count == 3
         assert topo.name == "tri"
 
+    def test_directory_does_not_shadow_bundled_name(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "geant2").mkdir()
+        assert resolve_topology("geant2", None).node_count == 24
+
     def test_capacity_override(self):
         topo = resolve_topology("nsfnet", 500.0)
         assert set(topo.capacities.tolist()) == {500.0}

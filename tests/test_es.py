@@ -358,6 +358,31 @@ class TestFitnessEvaluator:
         ]
         assert fitness == np.mean(argmax_returns)
 
+    def test_pure_in_params_and_seeds_whatever_the_call_history(self):
+        # The demand memo must not leak between calls or between envs. Two
+        # topologies alternate by position, and A repeats each seed, so it
+        # runs on both: a memo keyed without the env index hands geant2
+        # nsfnet's demands (or the reverse) within one call.
+        config = load_run_config(None, {"topology.files": "nsfnet,geant2"})
+        env_configs = build_env_configs(config)
+        params = init_params(config.policy, 0)
+        s0, s1, s2 = (derive_key(TAG_EVAL, 9, i) for i in range(3))
+        a, b = [s0, s0, s1, s1], [s1, s2]
+
+        evaluate = make_fitness_evaluator(env_configs, config.policy)
+        evaluate(params, a)
+        evaluate(params, b)
+        after_history = evaluate(params, a)
+
+        rollout_config = replace(config.policy, deterministic_eval=False)
+        total = 0.0
+        for i, seed in enumerate(a):
+            env_config = env_configs[i % 2]
+            agent = make_agent(params, rollout_config, env_config, seed)
+            total += run_episode(agent, env_config, seed)[0]
+        assert after_history == make_fitness_evaluator(env_configs, config.policy)(params, a)
+        assert after_history == total / len(a)
+
 
 class TestEvaluateAssignment:
     def test_records_carry_shared_seeds_and_signs(self):

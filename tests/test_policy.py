@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_prob_vector
-from esotn.env import Demand, EnvConfig, OtnEnv
+from esotn.env import Demand, EnvConfig, EnvState, OtnEnv, run_episode
 from esotn.policy import (
     EvaluationError,
     ParamManifest,
@@ -190,6 +190,75 @@ class TestForward:
         probs = forward(params, ctx, state, candidates)
         assert np.all(np.isfinite(probs))
         assert_prob_vector(probs)
+
+
+def einsum_forward(params, ctx, state, candidates):
+    """``forward`` with message passing written as the einsum
+    ``lm,cmh->clh``: the reference that pins its op choice bit for bit."""
+    on_path = np.zeros((len(candidates), ctx.capacities.shape[0]))
+    for i, links in enumerate(candidates):
+        on_path[i, links] = 1.0
+    w_in = params.tensor("link_embed.w")
+    base = (
+        np.outer(state.residual / ctx.capacities, w_in[0])
+        + np.outer(ctx.capacities / ctx.max_capacity, w_in[1])
+        + params.tensor("link_embed.b")
+    )
+    hidden = np.tanh(base[None, :, :] + on_path[:, :, None] * w_in[2])
+    steps = sum(1 for name, _ in params.manifest.tensors if name.startswith("message.")) // 2
+    for step in range(steps):
+        agg = np.einsum("lm,cmh->clh", ctx.link_adjacency, hidden)
+        hidden = np.tanh(
+            agg @ params.tensor(f"message.{step}.w") + params.tensor(f"message.{step}.b")
+        )
+    path_repr = np.einsum("cl,clh->ch", on_path, hidden)
+    load = state.pending.bandwidth / ctx.max_bandwidth
+    demand_emb = np.tanh(
+        load * params.tensor("demand_embed.w")[0] + params.tensor("demand_embed.b")
+    )
+    scores = np.tanh(path_repr + demand_emb) @ params.tensor("readout.w")[:, 0] + params.tensor(
+        "readout.b"
+    )[0]
+    exp = np.exp(scores - scores.max())
+    return exp / exp.sum()
+
+
+class TestForwardMatchesEinsumReference:
+    @pytest.mark.parametrize(
+        "topology,hidden_dim", [("nsfnet", 16), ("geant2", 16), ("nsfnet", 256)]
+    )
+    def test_bitwise_on_rollout_states(self, topology, hidden_dim):
+        topo = load_bundled_topology(topology)
+        env_config = EnvConfig(topology=topo, paths=compute_candidate_paths(topo, 4))
+        ctx = PolicyContext.for_env(env_config)
+        config = PolicyConfig(hidden_dim=hidden_dim, deterministic_eval=False)
+        theta0 = init_params(config, 0)
+        param_sets = [theta0] + [
+            PolicyParams(
+                manifest=theta0.manifest,
+                values=theta0.values + sigma * rng_from_key(derive_key(778, k)).standard_normal(
+                    theta0.manifest.total_dim
+                ),
+            )
+            for k, sigma in enumerate((0.05, 0.05, 1.0))
+        ]
+        compared = 0
+        for k, params in enumerate(param_sets):
+            agent = make_agent(params, config, env_config, episode_seed=k, ctx=ctx)
+            states = []
+
+            def recording_agent(state):
+                states.append(EnvState(residual=state.residual.copy(), pending=state.pending))
+                return agent(state)
+
+            for seed in range(2):
+                run_episode(recording_agent, env_config, derive_key(779, k, seed))
+            for state in states:
+                candidates = env_config.paths.path_arrays(state.pending.src, state.pending.dst)
+                got = forward(params, ctx, state, candidates)
+                assert got.tobytes() == einsum_forward(params, ctx, state, candidates).tobytes()
+                compared += 1
+        assert compared >= 20
 
 
 class TestSampleAction:
