@@ -9,6 +9,7 @@ binary payload, so checkpoints produced by identical runs are byte-identical.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -51,14 +52,30 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write via a temp file in the same directory, flushed to disk before
+    ``os.replace``, so the path holds either its previous content or all of
+    ``data``, never a part, even after a crash of the process or the machine."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path: str | Path, params: PolicyParams, metadata: dict | None = None) -> None:
     path = Path(path)
     payload = MAGIC + _pack_manifest(params.manifest)
     payload += params.values.astype("<f8").tobytes()
-    path.write_bytes(payload)
+    _write_atomic(path, payload)
     if metadata is not None:
         lines = [f"{key} = {value}" for key, value in metadata.items()]
-        sidecar_path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_atomic(sidecar_path(path), ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_checkpoint(path: str | Path) -> PolicyParams:

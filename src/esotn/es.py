@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -99,6 +99,21 @@ def derive_perturbation(manifest: ParamManifest, seed: int, sign: int) -> np.nda
     return values if sign >= 0 else -values
 
 
+def _perturbations(
+    manifest: ParamManifest, seed_signs: Iterable[tuple[int, int]]
+) -> Iterator[np.ndarray]:
+    """The perturbation of each (seed, sign) in turn. Mirrored partners are
+    adjacent in index order and share a seed, so a one-element cache derives
+    each pair's vector once and negates it for the partner."""
+    cached_seed: int | None = None
+    base: np.ndarray | None = None
+    for seed, sign in seed_signs:
+        if seed != cached_seed:
+            base = derive_perturbation(manifest, seed, 1)
+            cached_seed = seed
+        yield base if sign >= 0 else -base
+
+
 def mutate(theta: PolicyParams, epsilon: np.ndarray, sigma: float) -> PolicyParams:
     """theta + sigma * epsilon as a new parameter object; input untouched."""
     if epsilon.shape != theta.values.shape:
@@ -160,9 +175,9 @@ def evaluate_assignment(
     """Evaluate the given mutation indices of iteration t."""
     seeds = episode_seeds(config, t)
     records: list[MutationRecord] = []
-    for j in indices:
-        seed, sign = mutation_seed_sign(config, t, j)
-        epsilon = derive_perturbation(theta.manifest, seed, sign)
+    seed_signs = [mutation_seed_sign(config, t, j) for j in indices]
+    epsilons = _perturbations(theta.manifest, seed_signs)
+    for j, (seed, sign), epsilon in zip(indices, seed_signs, epsilons):
         candidate = mutate(theta, epsilon, config.sigma)
         try:
             raw = float(evaluator(candidate, seeds))
@@ -228,9 +243,7 @@ def compute_update(
     """alpha / (k * sigma) * sum_j utilities[j] * epsilon_j.
 
     Perturbations are re-derived from each record's (seed, sign) and
-    consumed one at a time. Mirrored partners are adjacent in index order
-    and share a seed, so a one-element cache halves the derivations without
-    changing the floating-point accumulation order.
+    consumed one at a time, a mirrored pair's vector derived once.
     """
     k = config.num_mutations
     if len(records) != k:
@@ -243,13 +256,9 @@ def compute_update(
     if utilities.shape != (k,):
         raise ProtocolError("utilities length does not match mutation count")
     acc = np.zeros(manifest.total_dim, dtype=np.float64)
-    cached_seed: int | None = None
-    cached_base: np.ndarray | None = None
-    for record in by_index:
-        if record.seed != cached_seed:
-            cached_base = derive_perturbation(manifest, record.seed, 1)
-            cached_seed = record.seed
-        acc += (utilities[record.index] * record.sign) * cached_base
+    epsilons = _perturbations(manifest, ((r.seed, r.sign) for r in by_index))
+    for record, epsilon in zip(by_index, epsilons):
+        acc += utilities[record.index] * epsilon
     return (config.alpha / (k * config.sigma)) * acc
 
 

@@ -189,37 +189,59 @@ class CandidatePathTable:
         return self._arrays[(src, dst)]
 
 
-def k_shortest_paths(topo: Topology, src: int, dst: int, k: int) -> list[tuple[int, ...]]:
-    """The k hop-shortest loop-free paths from src to dst as link-id tuples.
-
-    Best-first search over partial simple paths keyed by (hop count, link-id
-    sequence). Because extending a partial path only increases its key,
-    completed paths pop in exactly the table ordering. Returns fewer than k
-    paths when the graph has fewer loop-free options.
-    """
-    found: list[tuple[int, ...]] = []
-    # Heap entries: (hops, link sequence, current node, visited-node bitmask).
-    heap: list[tuple[int, tuple[int, ...], int, int]] = [(0, (), src, 1 << src)]
-    while heap and len(found) < k:
-        hops, seq, node, visited = heapq.heappop(heap)
-        if node == dst:
-            found.append(seq)
-            continue
-        for link_id, nxt in topo.adjacency[node]:
-            if visited >> nxt & 1:
-                continue
-            heapq.heappush(heap, (hops + 1, seq + (link_id,), nxt, visited | (1 << nxt)))
-    return found
+def _reaches(neighbours: list[int], start: int, blocked: int, targets: int) -> bool:
+    """Whether a walk from ``start`` that avoids the ``blocked`` node mask
+    can end at a node of the ``targets`` mask (all masks are node bitmasks)."""
+    seen = blocked
+    frontier = neighbours[start] & ~seen
+    while frontier:
+        if frontier & targets:
+            return True
+        seen |= frontier
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= neighbours[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~seen
+    return False
 
 
 def compute_candidate_paths(topo: Topology, k: int) -> CandidatePathTable:
-    """Precompute the candidate path table for every ordered node pair."""
+    """Precompute the candidate path table for every ordered node pair.
+
+    One best-first search per source over partial simple paths keyed by
+    (hop count, link-id sequence). Extending a partial path only increases
+    its key, so the paths ending at any one node pop in exactly the table
+    ordering; the first k of them are that node's row. A path is extended
+    even past a node whose row it joins, since it is also a prefix of paths
+    to other nodes, but only while it can still reach a row short of k
+    without revisiting a node: a dropped path could add to no row. So a row
+    short of k (say, towards a degree-1 node) costs at most its own paths'
+    prefixes, not every simple path out of the source. The search stops once
+    every row holds k paths or the heap is empty.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    neighbours = [sum(1 << nxt for _, nxt in adj) for adj in topo.adjacency]
     entries: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
     for src in range(topo.node_count):
-        for dst in range(topo.node_count):
-            if src == dst:
+        rows: list[list[tuple[int, ...]]] = [[] for _ in range(topo.node_count)]
+        unfilled = ((1 << topo.node_count) - 1) & ~(1 << src)  # rows short of k
+        # Heap entries: (hops, link sequence, current node, visited-node bitmask).
+        heap: list[tuple[int, tuple[int, ...], int, int]] = [(0, (), src, 1 << src)]
+        while heap and unfilled:
+            hops, seq, node, visited = heapq.heappop(heap)
+            if unfilled >> node & 1:
+                rows[node].append(seq)
+                if len(rows[node]) == k:
+                    unfilled &= ~(1 << node)
+            if not _reaches(neighbours, node, visited, unfilled):
                 continue
-            entries[(src, dst)] = tuple(k_shortest_paths(topo, src, dst, k))
+            for link_id, nxt in topo.adjacency[node]:
+                if not visited >> nxt & 1:
+                    heapq.heappush(heap, (hops + 1, seq + (link_id,), nxt, visited | (1 << nxt)))
+        for dst in range(topo.node_count):
+            if dst != src:
+                entries[(src, dst)] = tuple(rows[dst])
     return CandidatePathTable(k=k, entries=entries)

@@ -1,3 +1,6 @@
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -77,3 +80,33 @@ def test_sidecar_does_not_change_checkpoint_bytes(tmp_path, params):
     save_checkpoint(a, params, {"wall_seconds": "123.4"})
     save_checkpoint(b, params, {"wall_seconds": "999.9"})
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("torn_file", ["checkpoint", "sidecar"])
+def test_failed_write_leaves_previous_files_and_no_temp(tmp_path, params, monkeypatch, torn_file):
+    path = tmp_path / "p.esotn"
+    save_checkpoint(path, params, {"iteration": 1})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    syncs = []
+    fail_at = 1 if torn_file == "checkpoint" else 2  # the binary is written first
+
+    def torn_fsync(fd):
+        # The disk fills while the data is flushed: half of it lands, then ENOSPC.
+        syncs.append(fd)
+        if len(syncs) == fail_at:
+            os.ftruncate(fd, os.fstat(fd).st_size // 2)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", torn_fsync)
+    changed = init_params(PolicyConfig(hidden_dim=8, message_passing_steps=2), 42)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, changed, {"iteration": 2})
+    monkeypatch.undo()
+
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before), "a temp file was left behind"
+    assert after["p.esotn.meta"] == before["p.esotn.meta"]
+    if torn_file == "checkpoint":
+        assert after["p.esotn"] == before["p.esotn"]
+    else:  # the binary was already replaced, whole, before the sidecar failed
+        assert np.array_equal(load_checkpoint(path).values, changed.values)

@@ -406,6 +406,36 @@ class TestEvaluateAssignment:
         raws = [r.raw_return for r in records]
         assert sum(math.isnan(r) for r in raws) >= 1
 
+    @pytest.mark.parametrize("mirrored, indices, derivations", [
+        (True, range(8), 4),
+        (True, range(1, 8), 4),  # a slice that starts inside a pair
+        (False, range(8), 8),
+    ])
+    def test_derives_each_seed_once_and_matches_per_index_reference(
+        self, monkeypatch, mirrored, indices, derivations
+    ):
+        config = toy_config(num_mutations=8, mirrored=mirrored)
+        theta = vector_params(np.linspace(-1.0, 1.0, 7))
+        weights = np.arange(1.0, 8.0) / 3.0
+        evaluator = lambda p, s: float(p.values @ weights)
+
+        expected = []
+        for j in indices:
+            seed, sign = mutation_seed_sign(config, 3, j)
+            candidate = mutate(theta, derive_perturbation(theta.manifest, seed, sign), config.sigma)
+            expected.append(MutationRecord(3, j, seed, sign, evaluator(candidate, episode_seeds(config, 3))))
+
+        calls = []
+
+        def counting(manifest, seed, sign):
+            calls.append(seed)
+            return derive_perturbation(manifest, seed, sign)
+
+        monkeypatch.setattr("esotn.es.derive_perturbation", counting)
+        records = evaluate_assignment(theta, config, 3, indices, evaluator)
+        assert len(calls) == derivations
+        assert records == expected
+
 
 def run_sequential(theta, config, fitness, on_iteration=None):
     """Train on one worker; returns the final parameters and the stats."""

@@ -1,3 +1,6 @@
+import heapq
+from types import SimpleNamespace
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,6 @@ from esotn.topology import (
     TopologyParseError,
     TopologyValidationError,
     compute_candidate_paths,
-    k_shortest_paths,
     load_bundled_topology,
     load_topology,
 )
@@ -30,6 +32,13 @@ def links_to_nodes(topo, src, links):
         assert nodes[-1] in (a, b), "link does not touch the walk head"
         nodes.append(b if nodes[-1] == a else a)
     return nodes
+
+
+def bundled_with_pendant(name, attach=0):
+    """A bundled topology plus one degree-1 node joined to ``attach``."""
+    topo = load_bundled_topology(name)
+    links = list(topo.links) + [(attach, topo.node_count, 1.0)]
+    return make_topology(topo.node_count + 1, links, name=f"{name}+pendant")
 
 
 class TestLoadTopology:
@@ -124,19 +133,48 @@ class TestCandidatePaths:
             expected.sort(key=lambda links: (len(links), links))
             assert list(got) == expected[:3]
 
-    def test_matches_exhaustive_enumeration_on_nsfnet_sample(self):
-        topo = load_bundled_topology("nsfnet")
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    @pytest.mark.parametrize("name", ["nsfnet", "geant2", "geant2+pendant"])
+    def test_matches_exhaustive_enumeration_on_bundled_topologies(self, name, k):
+        # Oracle per ordered pair: every simple path no longer than the row's
+        # last path (all of them when the row is short of k), ordered by
+        # (hops, link sequence), truncated to k. The pendant node's rows to
+        # and from its neighbour hold a single path.
+        if name.endswith("+pendant"):
+            topo = bundled_with_pendant(name.removesuffix("+pendant"))
+        else:
+            topo = load_bundled_topology(name)
         graph = to_networkx(topo)
-        table = compute_candidate_paths(topo, 4)
-        for src, dst in [(0, 13), (3, 8), (11, 2)]:
+        table = compute_candidate_paths(topo, k)
+        assert len(table.entries) == topo.node_count * (topo.node_count - 1)
+        for (src, dst), got in table.entries.items():
+            cutoff = len(got[-1]) if len(got) == k else None
             expected = []
-            for node_path in nx.all_simple_paths(graph, src, dst):
+            for node_path in nx.all_simple_paths(graph, src, dst, cutoff=cutoff):
                 links = tuple(
                     graph[u][v]["link"] for u, v in zip(node_path, node_path[1:])
                 )
                 expected.append(links)
             expected.sort(key=lambda links: (len(links), links))
-            assert list(table.paths_for(src, dst)) == expected[:4]
+            assert list(got) == expected[:k], (src, dst)
+
+    def test_degree_one_node_adds_little_search(self, monkeypatch):
+        # Rows to and from a degree-1 node's neighbour never reach k paths;
+        # the search must not then walk every simple path out of the source.
+        pops = []
+
+        def counting_pop(heap):
+            pops.append(None)
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(
+            "esotn.topology.heapq", SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop)
+        )
+        compute_candidate_paths(load_bundled_topology("geant2"), 4)
+        plain = len(pops)
+        pops.clear()
+        compute_candidate_paths(bundled_with_pendant("geant2"), 4)
+        assert len(pops) < 2 * plain
 
     def test_reconstruction_walks_src_to_dst(self):
         topo = load_bundled_topology("nsfnet")
@@ -185,6 +223,6 @@ def test_k_shortest_sorted_by_hops_then_lex(src, dst, k):
     topo = load_bundled_topology("nsfnet")
     if src == dst:
         return
-    paths = k_shortest_paths(topo, src, dst, k)
+    paths = compute_candidate_paths(topo, k).paths_for(src, dst)
     keys = [(len(p), p) for p in paths]
     assert keys == sorted(keys)
