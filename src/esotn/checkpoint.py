@@ -85,7 +85,11 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     tensors = []
     for _ in range(reader.u32()):
-        name = reader.take(reader.u32()).decode("utf-8")
+        raw_name = reader.take(reader.u32())
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name {raw_name!r} is not UTF-8") from None
         ndim = reader.u32()
         shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
         tensors.append((name, tuple(int(d) for d in shape)))
@@ -94,7 +98,10 @@ def load_checkpoint(path: str | Path) -> PolicyParams:
     if reader.offset != len(reader.data):
         raise CheckpointError(f"{path}: {len(reader.data) - reader.offset} trailing bytes")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return PolicyParams(manifest=manifest, values=values)
+    try:
+        return PolicyParams(manifest=manifest, values=values)
+    except ValueError as exc:  # non-finite values
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def sidecar_path(path: str | Path) -> Path:

@@ -112,11 +112,8 @@ def feasible_actions(state: EnvState, paths: CandidatePathTable) -> np.ndarray:
     the pending bandwidth.
     """
     demand = state.pending
-    candidates = paths.path_arrays(demand.src, demand.dst)
-    mask = np.empty(len(candidates), dtype=bool)
-    for i, links in enumerate(candidates):
-        mask[i] = state.residual[links].min() >= demand.bandwidth
-    return mask
+    links, starts = paths.link_index(demand.src, demand.dst)
+    return np.minimum.reduceat(state.residual[links], starts) >= demand.bandwidth
 
 
 class OtnEnv:

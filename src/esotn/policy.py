@@ -13,6 +13,7 @@ forward pass.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -49,6 +50,10 @@ class ParamManifest:
             offset += size
         return out
 
+    @cached_property
+    def message_steps(self) -> int:
+        return sum(1 for name, _ in self.tensors if name.startswith("message.") and name.endswith(".w"))
+
 
 @dataclass(frozen=True)
 class PolicyParams:
@@ -66,9 +71,16 @@ class PolicyParams:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("parameter vector contains non-finite values")
 
+    @cached_property
+    def views(self) -> dict[str, np.ndarray]:
+        """Every tensor by name, as a view into ``values`` built once."""
+        return {
+            name: self.values[start:stop].reshape(shape)
+            for name, (start, stop, shape) in self.manifest.slots.items()
+        }
+
     def tensor(self, name: str) -> np.ndarray:
-        start, stop, shape = self.manifest.slots[name]
-        return self.values[start:stop].reshape(shape)
+        return self.views[name]
 
 
 @dataclass(frozen=True)
@@ -182,61 +194,69 @@ def forward(
     n_cand = len(candidates)
     n_links = ctx.capacities.shape[0]
 
-    on_path = np.zeros((n_cand, n_links), dtype=np.float64)
+    on_path = np.zeros((n_links, n_cand), dtype=np.float64)
     for i, links in enumerate(candidates):
-        on_path[i, links] = 1.0
+        on_path[links, i] = 1.0
 
-    w_in = params.tensor("link_embed.w")
+    tensors = params.views
+    w_in = tensors["link_embed.w"]
+    hidden_dim = w_in.shape[1]
     # Non-finite intermediates are caught below; silence numpy's overflow
     # chatter so failed mutations degrade quietly to their failure fitness.
     with np.errstate(over="ignore", invalid="ignore"):
         # Shared features (residual and capacity columns) embed once; the
         # candidate-specific on-path column adds its own weight row.
         base = (
-            np.outer(state.residual / ctx.capacities, w_in[0])
-            + np.outer(ctx.capacities / ctx.max_capacity, w_in[1])
-            + params.tensor("link_embed.b")
+            (state.residual / ctx.capacities)[:, None] * w_in[0]
+            + (ctx.capacities / ctx.max_capacity)[:, None] * w_in[1]
+            + tensors["link_embed.b"]
         )
-        hidden = np.tanh(base[None, :, :] + on_path[:, :, None] * w_in[2])
+        # Hidden states are [link, candidate, h], C-ordered so that both
+        # reshapes below are views. Per message step one gemm aggregates the
+        # neighbours of every candidate's copy of a link ([L, L] @ [L, c*h];
+        # with 0/1 adjacency bitwise equal to einsum's per-candidate sum) and
+        # one applies the message weights to every (link, candidate) row
+        # ([L*c, h] @ [h, h]), each writing into a fixed buffer.
+        hidden = np.empty((n_links, n_cand, hidden_dim))
+        np.add(base[:, None, :], on_path[:, :, None] * w_in[2], out=hidden)
+        np.tanh(hidden, out=hidden)
+        by_link = hidden.reshape(n_links, n_cand * hidden_dim)
+        by_row = hidden.reshape(n_links * n_cand, hidden_dim)
+        agg = np.empty_like(by_link)
+        agg_rows = agg.reshape(n_links * n_cand, hidden_dim)
+        for step in range(params.manifest.message_steps):
+            np.dot(ctx.link_adjacency, by_link, out=agg)
+            np.dot(agg_rows, tensors[f"message.{step}.w"], out=by_row)
+            by_row += tensors[f"message.{step}.b"]
+            np.tanh(by_row, out=by_row)
 
-        adjacency = ctx.link_adjacency
-        for step in range(_message_steps(params.manifest)):
-            # einsum's unblocked loop is slow; with 0/1 adjacency gemm is bitwise equal.
-            agg = adjacency @ hidden
-            hidden = np.tanh(
-                agg @ params.tensor(f"message.{step}.w") + params.tensor(f"message.{step}.b")
-            )
-
-        path_repr = np.einsum("cl,clh->ch", on_path, hidden)
+        path_repr = np.einsum("lc,lch->ch", on_path, hidden)
         load = state.pending.bandwidth / ctx.max_bandwidth
-        demand_emb = np.tanh(
-            load * params.tensor("demand_embed.w")[0] + params.tensor("demand_embed.b")
-        )
+        demand_emb = np.tanh(load * tensors["demand_embed.w"][0] + tensors["demand_embed.b"])
         # tanh on the readout pre-activation lets the (shared) demand
         # embedding interact with each path sum; a linear readout would
         # cancel it in the softmax.
-        scores = np.tanh(path_repr + demand_emb) @ params.tensor("readout.w")[:, 0] + params.tensor(
-            "readout.b"
-        )[0]
-    if not np.all(np.isfinite(scores)):
+        scores = np.tanh(path_repr + demand_emb) @ tensors["readout.w"][:, 0] + tensors["readout.b"][0]
+    if not np.isfinite(scores).all():
         raise EvaluationError(f"non-finite candidate scores: {scores}")
-    scores = scores - scores.max()
-    exp = np.exp(scores)
-    return exp / exp.sum()
-
-
-def _message_steps(manifest: ParamManifest) -> int:
-    return sum(1 for name, _ in manifest.tensors if name.endswith(".w") and name.startswith("message."))
+    scores -= scores.max()
+    np.exp(scores, out=scores)
+    scores /= scores.sum()
+    return scores
 
 
 def epsilon_greedy(greedy: int, n: int, eps: float, rng: np.random.Generator) -> int:
     """One draw from (1 - eps) * onehot(greedy) + eps * uniform over n
     candidates, consuming exactly one ``rng.random()``."""
-    mixture = np.full(n, eps / n)
-    mixture[greedy] += 1.0 - eps
-    cdf = np.cumsum(mixture)
-    draw = rng.random() * cdf[-1]
-    return min(int(np.searchsorted(cdf, draw, side="right")), n - 1)
+    share = eps / n
+    # Summed in index order from Python floats: the bits of numpy's cumsum.
+    cdf = []
+    total = 0.0
+    for i in range(n):
+        total += share + (1.0 - eps) if i == greedy else share
+        cdf.append(total)
+    draw = rng.random() * total
+    return min(bisect_right(cdf, draw), n - 1)
 
 
 def make_agent(
@@ -269,7 +289,7 @@ def make_agent(
             mask = feasible_actions(state, paths)
             if mask.any():
                 probs = np.where(mask, probs, 0.0)
-        greedy = int(np.argmax(probs))
+        greedy = int(probs.argmax())
         if rng is None:
             return greedy
         return epsilon_greedy(greedy, len(candidates), config.action_noise_epsilon, rng)

@@ -267,8 +267,15 @@ def run_worker(setup: TrainingSetup, theta0: PolicyParams, connection) -> int:
         version += 1
 
 
+_CLOSED = object()  # what close() queues for the peer
+
+
 class QueueConnection:
-    """In-process bidirectional endpoint over a pair of queues."""
+    """In-process bidirectional endpoint over a pair of queues.
+
+    ``close`` wakes the peer as a socket's close does: once the peer has read
+    what was sent before it, each of its ``recv`` calls raises EOFError.
+    """
 
     def __init__(self, inbox: queue.Queue, outbox: queue.Queue) -> None:
         self._inbox = inbox
@@ -287,12 +294,16 @@ class QueueConnection:
 
     def recv(self, timeout: float | None = None) -> Message:
         try:
-            return self._inbox.get(timeout=timeout)
+            message = self._inbox.get(timeout=timeout)
         except queue.Empty:
             raise TimeoutError("no message within timeout") from None
+        if message is _CLOSED:
+            self._inbox.put(_CLOSED)  # for the next recv
+            raise EOFError("peer closed the connection")
+        return message
 
     def close(self) -> None:
-        pass
+        self._outbox.put(_CLOSED)
 
 
 def run_inproc(
@@ -301,7 +312,11 @@ def run_inproc(
     n: int,
     on_iteration: Callable[[IterationStats, PolicyParams], None] | None = None,
 ) -> tuple[PolicyParams, RunStats]:
-    """Coordinator plus n-1 worker threads over queue connections."""
+    """Coordinator plus n-1 worker threads over queue connections.
+
+    Either side's exit closes its end, so an error on one side wakes the
+    other instead of leaving it blocked in ``recv``.
+    """
     coordinator_ends: list[QueueConnection] = []
     threads: list[threading.Thread] = []
     worker_errors: list[BaseException] = []
@@ -311,6 +326,8 @@ def run_inproc(
             run_worker(setup, theta0, conn)
         except BaseException as exc:  # surfaced after join
             worker_errors.append(exc)
+        finally:
+            conn.close()
 
     for _ in range(n - 1):
         coord_end, worker_end = QueueConnection.pair()

@@ -177,6 +177,9 @@ class CandidatePathTable:
     _arrays: dict[tuple[int, int], tuple[np.ndarray, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    _link_index: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for pair, paths in self.entries.items():
@@ -187,6 +190,18 @@ class CandidatePathTable:
 
     def path_arrays(self, src: int, dst: int) -> tuple[np.ndarray, ...]:
         return self._arrays[(src, dst)]
+
+    def link_index(self, src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pair's paths as one flat link-id array plus the offset where
+        each path starts in it, built on the pair's first use."""
+        index = self._link_index.get((src, dst))
+        if index is None:
+            paths = self.entries[(src, dst)]
+            links = np.array([link for path in paths for link in path], dtype=np.intp)
+            lengths = np.array([len(path) for path in paths], dtype=np.intp)
+            starts = np.cumsum(lengths) - lengths
+            index = self._link_index.setdefault((src, dst), (links, starts))
+        return index
 
 
 def _reaches(neighbours: list[int], start: int, blocked: int, targets: int) -> bool:

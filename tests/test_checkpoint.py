@@ -1,5 +1,6 @@
 import errno
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -110,3 +111,27 @@ def test_failed_write_leaves_previous_files_and_no_temp(tmp_path, params, monkey
         assert after["p.esotn"] == before["p.esotn"]
     else:  # the binary was already replaced, whole, before the sidecar failed
         assert np.array_equal(load_checkpoint(path).values, changed.values)
+
+
+def test_non_finite_values_rejected_naming_the_file(tmp_path, params):
+    path = tmp_path / "p.esotn"
+    save_checkpoint(path, params)
+    data = bytearray(path.read_bytes())
+    data[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # the last parameter
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="p.esotn.*non-finite"):
+        load_checkpoint(path)
+
+
+def test_non_utf8_tensor_name_rejected_naming_the_file(tmp_path):
+    path = tmp_path / "p.esotn"
+    name = b"\xff\xfe"
+    path.write_bytes(
+        MAGIC
+        + struct.pack("<I", 1)  # one tensor
+        + struct.pack("<I", len(name)) + name
+        + struct.pack("<II", 1, 1)  # shape (1,)
+        + np.array([0.5], dtype="<f8").tobytes()
+    )
+    with pytest.raises(CheckpointError, match="p.esotn.*not UTF-8"):
+        load_checkpoint(path)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import TRIANGLE_TEXT
-from esotn.checkpoint import load_checkpoint, save_checkpoint
+from esotn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from esotn.cli import main
 from esotn.env import DemandStream, EnvConfig
 from esotn.policy import PolicyConfig, init_params
@@ -202,6 +202,23 @@ class TestEval:
             ["eval", "--config", str(cfg_path), "--checkpoint", str(bad_ckpt)]
         ) == 1
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["nan_value", "non_utf8_name"])
+    def test_bad_checkpoint_fails_with_one_line(self, triangle_cfg, tmp_path, capsys, fault):
+        cfg_path, _ = triangle_cfg
+        bad_ckpt = tmp_path / "bad.esotn"
+        save_checkpoint(bad_ckpt, init_params(PolicyConfig(hidden_dim=4, message_passing_steps=1), 0))
+        data = bytearray(bad_ckpt.read_bytes())
+        if fault == "nan_value":
+            data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        else:  # the first tensor name, after the magic and two u32 counts
+            start = len(MAGIC) + 8
+            data[start : start + 2] = b"\xff\xfe"
+        bad_ckpt.write_bytes(bytes(data))
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(bad_ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad_ckpt) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_directory_does_not_shadow_bundled_topology(self, tmp_path, monkeypatch, capsys):
         # For example the run directory of an earlier `--out geant2`.

@@ -123,6 +123,49 @@ class TestFeasibleActions:
         assert not feasible_actions(state, triangle_env.paths).any()
 
 
+class TestFeasibleActionsMatchesPerPathReference:
+    """``feasible_actions`` against the per-path loop it replaced."""
+
+    @staticmethod
+    def reference(state, paths):
+        demand = state.pending
+        candidates = paths.path_arrays(demand.src, demand.dst)
+        mask = np.empty(len(candidates), dtype=bool)
+        for i, links in enumerate(candidates):
+            mask[i] = state.residual[links].min() >= demand.bandwidth
+        return mask
+
+    @pytest.fixture(scope="class")
+    def geant2_env(self):
+        topo = load_bundled_topology("geant2")
+        return EnvConfig(topology=topo, paths=compute_candidate_paths(topo, 4))
+
+    def check_every_pair(self, env_config, residuals):
+        state = OtnEnv(env_config).reset(0)
+        rng = np.random.default_rng(7)
+        for src, dst in env_config.paths.entries:
+            bandwidth = float(rng.choice(env_config.demand_bandwidths))
+            state.pending = Demand(src, dst, bandwidth)
+            state.residual = residuals(rng, bandwidth)
+            got = feasible_actions(state, env_config.paths)
+            want = self.reference(state, env_config.paths)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (src, dst)
+
+    def test_every_geant2_pair_at_random_residuals(self, geant2_env):
+        caps = geant2_env.topology.capacities
+        self.check_every_pair(geant2_env, lambda rng, bw: rng.uniform(0.0, caps))
+
+    def test_every_geant2_pair_at_residual_equal_to_bandwidth(self, geant2_env):
+        # Each link at the bandwidth, one ulp below or one ulp above it.
+        n_links = len(geant2_env.topology.links)
+
+        def residuals(rng, bw):
+            levels = np.array([np.nextafter(bw, 0.0), bw, np.nextafter(bw, np.inf)])
+            return levels[rng.integers(3, size=n_links)]
+
+        self.check_every_pair(geant2_env, residuals)
+
+
 class TestStep:
     def test_successful_allocation(self, triangle_env):
         env = OtnEnv(triangle_env)

@@ -85,6 +85,14 @@ class TestInitParams:
             else:
                 assert np.any(params.tensor(name) != 0.0), name
 
+    def test_tensor_is_a_view_of_values(self):
+        params = init_params(PolicyConfig(hidden_dim=8, message_passing_steps=2), 5)
+        for name, (start, stop, shape) in params.manifest.slots.items():
+            tensor = params.tensor(name)
+            assert tensor.shape == shape
+            assert np.shares_memory(tensor, params.values), name
+            assert tensor.tobytes() == params.values[start:stop].tobytes(), name
+
     def test_weights_within_fan_limit(self):
         params = init_params(PolicyConfig(hidden_dim=16, message_passing_steps=1), 7)
         for name, shape in params.manifest.tensors:
@@ -294,6 +302,26 @@ class TestSampleAction:
         rng = rng_from_key(derive_key(2))
         hits = sum(epsilon_greedy(0, 2, 0.1, rng) for _ in range(100_000))
         assert abs(hits / 100_000 - 0.05) < 0.005
+
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.5, 0.999])
+    def test_epsilon_greedy_matches_numpy_cdf_reference(self, eps):
+        # The cumsum/searchsorted rule epsilon_greedy replaced. Per candidate
+        # count n, one stream of 10^4 draws cycles the greedy index through
+        # every candidate; indices and generator states must match exactly.
+        def reference(greedy, n, eps, rng):
+            mixture = np.full(n, eps / n)
+            mixture[greedy] += 1.0 - eps
+            cdf = np.cumsum(mixture)
+            draw = rng.random() * cdf[-1]
+            return min(int(np.searchsorted(cdf, draw, side="right")), n - 1)
+
+        for n in range(1, 9):
+            got_rng = rng_from_key(derive_key(3, n))
+            want_rng = rng_from_key(derive_key(3, n))
+            got = [epsilon_greedy(i % n, n, eps, got_rng) for i in range(10_000)]
+            want = [reference(i % n, n, eps, want_rng) for i in range(10_000)]
+            assert got == want, (n, eps)
+            assert got_rng.random() == want_rng.random()
 
     def test_epsilon_one_rejected_by_config(self):
         with pytest.raises(ValueError):

@@ -169,6 +169,51 @@ class TestInproc:
             run_inproc(bad_setup, theta0, 2)
 
 
+class _WorkerThreadDeath(BaseException):
+    """Escapes evaluate_assignment's ``except Exception`` and kills the thread."""
+
+
+class TestInprocErrorPaths:
+    """An error on one side must not leave the other blocked in ``recv``."""
+
+    @staticmethod
+    def new_threads(before):
+        return [t for t in threading.enumerate() if t not in before and t.is_alive()]
+
+    def test_coordinator_error_releases_workers(self):
+        setup, theta0 = quadratic_setup()
+        before = set(threading.enumerate())
+
+        def on_iteration(stats, theta):
+            raise OSError("disk full")
+
+        start = time.monotonic()
+        with pytest.raises(OSError, match="disk full"):
+            run_inproc(setup, theta0, 3, on_iteration=on_iteration)
+        assert time.monotonic() - start < 2.0
+        assert self.new_threads(before) == []
+
+    def test_worker_death_wakes_coordinator(self):
+        setup, theta0 = quadratic_setup()
+        target = setup.evaluator
+
+        def dies_off_the_main_thread(params, seeds):
+            if threading.current_thread() is not threading.main_thread():
+                raise _WorkerThreadDeath()
+            return target(params, seeds)
+
+        slow_deadline = TrainingSetup(
+            es=setup.es, manifest=setup.manifest, evaluator=dies_off_the_main_thread,
+            iter_timeout=60.0,
+        )
+        before = set(threading.enumerate())
+        start = time.monotonic()
+        with pytest.raises(WorkerTimeoutError, match="worker 1 died during iteration 0"):
+            run_inproc(slow_deadline, theta0, 3)
+        assert time.monotonic() - start < 2.0
+        assert self.new_threads(before) == []
+
+
 class TestWorkerProtocol:
     def test_shutdown_first_clean_exit(self):
         setup, theta0 = quadratic_setup()

@@ -1,4 +1,6 @@
 import heapq
+import sys
+import threading
 from types import SimpleNamespace
 
 import networkx as nx
@@ -214,6 +216,42 @@ class TestCandidatePaths:
         for (src, dst), paths in table.entries.items():
             arrays = table.path_arrays(src, dst)
             assert [tuple(a.tolist()) for a in arrays] == list(paths)
+
+    def test_link_index_mirrors_entries(self):
+        table = compute_candidate_paths(load_bundled_topology("nsfnet"), 4)
+        for (src, dst), paths in table.entries.items():
+            links, starts = table.link_index(src, dst)
+            ends = list(starts[1:]) + [len(links)]
+            assert [tuple(links[a:b].tolist()) for a, b in zip(starts, ends)] == list(paths)
+
+    def test_link_index_built_once_under_racing_threads(self):
+        # Inproc workers share one table; eight threads racing to build
+        # each pair's index must all be handed the one stored object.
+        table = compute_candidate_paths(load_bundled_topology("nsfnet"), 4)
+        pairs = list(table.entries)
+        seen = [[] for _ in range(8)]
+
+        def build(out, order):
+            for pair in order:
+                out.append((pair, table.link_index(*pair)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=build, args=(seen[i], pairs[i::-1] + pairs[i + 1 :]))
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for out in seen:
+            assert len(out) == len(pairs)
+            assert all(index is table.link_index(*pair) for pair, index in out)
 
 
 @settings(max_examples=25, deadline=None)
