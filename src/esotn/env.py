@@ -127,6 +127,9 @@ class OtnEnv:
     def __init__(self, config: EnvConfig) -> None:
         self.config = config
         self._capacities = config.topology.capacities
+        self._paths = config.paths
+        self._max_bandwidth = config.max_bandwidth
+        self._max_steps = config.max_episode_steps
         self._stream: DemandStream | None = None
 
     def reset(self, episode_seed: int, demand_memo: dict[int, Demand] | None = None) -> EnvState:
@@ -150,7 +153,7 @@ class OtnEnv:
         if self._stream is None:
             raise RuntimeError("step() before reset()")
         demand = state.pending
-        candidates = self.config.paths.path_arrays(demand.src, demand.dst)
+        candidates = self._paths.path_arrays(demand.src, demand.dst)
         if not 0 <= action < len(candidates):
             raise IndexError(
                 f"action {action} out of range for pair ({demand.src}, {demand.dst}) "
@@ -162,12 +165,11 @@ class OtnEnv:
             return state, 0.0, True
         state.residual[links] -= demand.bandwidth
         state.allocated_total += demand.bandwidth
-        reward = demand.bandwidth / self.config.max_bandwidth
         state.pending = self._stream.sample()
-        done = not feasible_actions(state, self.config.paths).any()
-        if self.config.max_episode_steps is not None:
-            done = done or state.step_count >= self.config.max_episode_steps
-        return state, reward, done
+        done = not feasible_actions(state, self._paths).any()
+        if self._max_steps is not None:
+            done = done or state.step_count >= self._max_steps
+        return state, demand.bandwidth / self._max_bandwidth, done
 
 
 TRACE_COLUMNS = ("step", "src", "dst", "bandwidth", "action", "reward", "done")

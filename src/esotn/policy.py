@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -22,6 +22,7 @@ import numpy as np
 
 from .env import EnvConfig, EnvState, feasible_actions
 from .seeds import TAG_ACTION, TAG_INIT, derive_key, rng_from_key
+from .topology import CandidatePathTable
 
 LINK_FEATURES = 3
 
@@ -57,10 +58,19 @@ class ParamManifest:
 
 @dataclass(frozen=True)
 class PolicyParams:
-    """A manifest plus the flat value vector it describes."""
+    """A manifest plus the flat value vector it describes.
+
+    ``values`` must not change after construction: the forward pass's
+    terms derived from it are built on first use and kept here. Each cache
+    is filled with ``setdefault``, so threads sharing a parameter object
+    can only store the same value twice.
+    """
 
     manifest: ParamManifest
     values: np.ndarray
+    _layers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _demand: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _links: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.values.shape != (self.manifest.total_dim,):
@@ -81,6 +91,55 @@ class PolicyParams:
 
     def tensor(self, name: str) -> np.ndarray:
         return self.views[name]
+
+    def message_layers(self, rows: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(weight, bias as ``rows`` rows) per message step."""
+        layers = self._layers.get(rows)
+        if layers is None:
+            views = self.views
+            layers = self._layers.setdefault(rows, tuple(
+                (views[f"message.{step}.w"], _tiled(views[f"message.{step}.b"], (rows, -1)))
+                for step in range(self.manifest.message_steps)
+            ))
+        return layers
+
+    def demand_embedding(self, load: float) -> np.ndarray:
+        """tanh(load * demand_embed.w + demand_embed.b), per load."""
+        embedding = self._demand.get(load)
+        if embedding is None:
+            views = self.views
+            embedding = self._demand.setdefault(
+                load, np.tanh(load * views["demand_embed.w"][0] + views["demand_embed.b"])
+            )
+        return embedding
+
+    def link_terms(self, ctx: "PolicyContext") -> tuple[np.ndarray, ...]:
+        """The link embedding's per-topology terms for ``ctx``, keyed by the
+        context itself: (residual weight row, capacity term, bias as one row
+        per link, on-path term for off- and on-path links as [2, L, h])."""
+        terms = self._links.get(ctx)
+        if terms is None:
+            w_in = self.views["link_embed.w"]
+            n_links = ctx.capacities.shape[0]
+            terms = self._links.setdefault(ctx, (
+                w_in[0],
+                (ctx.capacities / ctx.max_capacity)[:, None] * w_in[1],
+                _tiled(self.views["link_embed.b"], (n_links, -1)),
+                _tiled(np.array([0.0, 1.0])[:, None, None] * w_in[2], (2, n_links, -1)),
+            ))
+        return terms
+
+
+def _tiled(term: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``term`` as a contiguous array of ``shape`` (-1 keeps its last axis)
+    while that stays within 32 KiB: adding it is then one contiguous loop
+    instead of a broadcast one with a short inner loop, with the same
+    elementwise adds and so the same bits. Above that ``term`` itself, to
+    broadcast: building the copy would cost more than it saves."""
+    shape = shape[:-1] + term.shape[-1:]
+    if math.prod(shape) * term.itemsize > 32 * 1024:
+        return term
+    return np.broadcast_to(term, shape).copy()
 
 
 @dataclass(frozen=True)
@@ -152,14 +211,18 @@ def unflatten(manifest: ParamManifest, vector: np.ndarray) -> PolicyParams:
     return PolicyParams(manifest=manifest, values=vector)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyContext:
-    """Per-topology constants the forward pass needs."""
+    """Per-topology constants the forward pass needs, plus the topology's
+    candidate path table, whose per-pair on-path layouts ``forward`` reuses.
+    Compared and hashed by identity: parameter objects key their per-topology
+    terms by the context itself."""
 
     capacities: np.ndarray
     link_adjacency: np.ndarray
     max_capacity: float
     max_bandwidth: float
+    paths: CandidatePathTable
 
     @staticmethod
     def for_env(config: EnvConfig) -> "PolicyContext":
@@ -179,6 +242,7 @@ class PolicyContext:
             link_adjacency=adj,
             max_capacity=float(caps.max()),
             max_bandwidth=config.max_bandwidth,
+            paths=config.paths,
         )
 
 
@@ -193,55 +257,56 @@ def forward(
         raise ValueError("forward() needs at least one candidate path")
     n_cand = len(candidates)
     n_links = ctx.capacities.shape[0]
-
-    on_path = np.zeros((n_links, n_cand), dtype=np.float64)
-    for i, links in enumerate(candidates):
-        on_path[links, i] = 1.0
-
-    tensors = params.views
-    w_in = tensors["link_embed.w"]
-    hidden_dim = w_in.shape[1]
+    demand = state.pending
+    on_path, rows = ctx.paths.on_path(demand.src, demand.dst, candidates, n_links)
+    w_residual, capacity_term, embed_bias, on_off = params.link_terms(ctx)
+    hidden_dim = w_residual.shape[0]
     # Non-finite intermediates are caught below; silence numpy's overflow
     # chatter so failed mutations degrade quietly to their failure fitness.
     with np.errstate(over="ignore", invalid="ignore"):
-        # Shared features (residual and capacity columns) embed once; the
-        # candidate-specific on-path column adds its own weight row.
-        base = (
-            (state.residual / ctx.capacities)[:, None] * w_in[0]
-            + (ctx.capacities / ctx.max_capacity)[:, None] * w_in[1]
-            + tensors["link_embed.b"]
-        )
-        # Hidden states are [link, candidate, h], C-ordered so that both
-        # reshapes below are views. Per message step one gemm aggregates the
-        # neighbours of every candidate's copy of a link ([L, L] @ [L, c*h];
-        # with 0/1 adjacency bitwise equal to einsum's per-candidate sum) and
-        # one applies the message weights to every (link, candidate) row
-        # ([L*c, h] @ [h, h]), each writing into a fixed buffer.
-        hidden = np.empty((n_links, n_cand, hidden_dim))
-        np.add(base[:, None, :], on_path[:, :, None] * w_in[2], out=hidden)
-        np.tanh(hidden, out=hidden)
-        by_link = hidden.reshape(n_links, n_cand * hidden_dim)
-        by_row = hidden.reshape(n_links * n_cand, hidden_dim)
+        # Shared features (residual and capacity columns) embed once:
+        # (residual term + capacity term) + bias, in that order. A link's
+        # on-path column is 0 or 1, so its embedding takes one of two values
+        # per link; both are squashed once and gathered into the
+        # [link, candidate, h] hidden states (C-ordered, so both reshapes
+        # below are views), with the bits of embedding every copy.
+        base = np.multiply((state.residual / ctx.capacities)[:, None], w_residual)
+        base += capacity_term
+        base += embed_bias
+        stacked = np.add(base, on_off)
+        np.tanh(stacked, out=stacked)
+        by_row = stacked.reshape(2 * n_links, hidden_dim).take(rows, axis=0)
+        # Per message step one gemm aggregates the neighbours of every
+        # candidate's copy of a link ([L, L] @ [L, c*h]; with 0/1 adjacency
+        # bitwise equal to einsum's per-candidate sum) and one applies the
+        # message weights to every (link, candidate) row ([L*c, h] @ [h, h]),
+        # each writing into a fixed buffer.
+        by_link = by_row.reshape(n_links, n_cand * hidden_dim)
         agg = np.empty_like(by_link)
         agg_rows = agg.reshape(n_links * n_cand, hidden_dim)
-        for step in range(params.manifest.message_steps):
+        for weight, bias in params.message_layers(n_links * n_cand):
             np.dot(ctx.link_adjacency, by_link, out=agg)
-            np.dot(agg_rows, tensors[f"message.{step}.w"], out=by_row)
-            by_row += tensors[f"message.{step}.b"]
+            np.dot(agg_rows, weight, out=by_row)
+            by_row += bias
             np.tanh(by_row, out=by_row)
 
-        path_repr = np.einsum("lc,lch->ch", on_path, hidden)
-        load = state.pending.bandwidth / ctx.max_bandwidth
-        demand_emb = np.tanh(load * tensors["demand_embed.w"][0] + tensors["demand_embed.b"])
+        path_repr = np.einsum(
+            "lc,lch->ch", on_path.astype(np.float64), by_row.reshape(n_links, n_cand, hidden_dim)
+        )
         # tanh on the readout pre-activation lets the (shared) demand
         # embedding interact with each path sum; a linear readout would
         # cancel it in the softmax.
-        scores = np.tanh(path_repr + demand_emb) @ tensors["readout.w"][:, 0] + tensors["readout.b"][0]
-    if not np.isfinite(scores).all():
+        path_repr += params.demand_embedding(demand.bandwidth / ctx.max_bandwidth)
+        np.tanh(path_repr, out=path_repr)
+        readout = params.views
+        scores = path_repr @ readout["readout.w"][:, 0]
+        scores += readout["readout.b"][0]
+    values = scores.tolist()
+    if not all(map(math.isfinite, values)):
         raise EvaluationError(f"non-finite candidate scores: {scores}")
-    scores -= scores.max()
+    scores -= max(values)
     np.exp(scores, out=scores)
-    scores /= scores.sum()
+    scores /= np.add.reduce(scores)
     return scores
 
 

@@ -337,6 +337,11 @@ def run_inproc(
         threads.append(thread)
     try:
         result = run_coordinator(setup, theta0, coordinator_ends, on_iteration)
+    except WorkerTimeoutError as exc:
+        # A worker's exit closes its end only after it records its error.
+        if worker_errors:
+            raise exc from worker_errors[0]
+        raise
     finally:
         for thread in threads:
             thread.join(timeout=10.0)

@@ -13,6 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from typing import Sequence
 
 import numpy as np
 
@@ -180,6 +181,9 @@ class CandidatePathTable:
     _link_index: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    _on_path: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for pair, paths in self.entries.items():
@@ -202,6 +206,37 @@ class CandidatePathTable:
             starts = np.cumsum(lengths) - lengths
             index = self._link_index.setdefault((src, dst), (links, starts))
         return index
+
+    def on_path(
+        self, src: int, dst: int, paths: Sequence[np.ndarray], n_links: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``paths`` over ``n_links`` links as a read-only boolean [link, path]
+        on-path matrix, plus the same matrix as row indices
+        ``link + n_links * on_path``, flattened link-major: each (link, path)'s
+        row in a stack of per-link off-path rows over per-link on-path rows.
+
+        Kept per pair, built on first use, when ``paths`` is the pair's own
+        ``path_arrays`` tuple; built afresh for any other sequence (a
+        reordering, say)."""
+        if paths is not self._arrays.get((src, dst)):
+            return _on_path_layout(paths, n_links)
+        key = (src, dst, n_links)
+        layout = self._on_path.get(key)
+        if layout is None:
+            layout = self._on_path.setdefault(key, _on_path_layout(paths, n_links))
+        return layout
+
+
+def _on_path_layout(paths: Sequence[np.ndarray], n_links: int) -> tuple[np.ndarray, np.ndarray]:
+    on_path = np.zeros((n_links, len(paths)), dtype=bool)
+    for i, links in enumerate(paths):
+        on_path[links, i] = True
+    # The smallest unsigned type that holds the indices keeps the cache small.
+    rows = (np.arange(n_links)[:, None] + n_links * on_path).ravel()
+    rows = rows.astype(np.min_scalar_type(2 * n_links - 1))
+    on_path.setflags(write=False)
+    rows.setflags(write=False)
+    return on_path, rows
 
 
 def _reaches(neighbours: list[int], start: int, blocked: int, targets: int) -> bool:

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -267,6 +269,143 @@ class TestForwardMatchesEinsumReference:
                 assert got.tobytes() == einsum_forward(params, ctx, state, candidates).tobytes()
                 compared += 1
         assert compared >= 20
+
+
+def mutated_params(config, k, sigma=0.05):
+    theta0 = init_params(config, 0)
+    noise = rng_from_key(derive_key(780, k)).standard_normal(theta0.manifest.total_dim)
+    return PolicyParams(manifest=theta0.manifest, values=theta0.values + sigma * noise)
+
+
+def rollout_states(env_config, params, config, seeds):
+    """Copies of every state a stochastic agent acts on over the episodes."""
+    states = []
+    for seed in seeds:
+        agent = make_agent(params, config, env_config, episode_seed=seed)
+
+        def recording_agent(state):
+            states.append(EnvState(residual=state.residual.copy(), pending=state.pending))
+            return agent(state)
+
+        run_episode(recording_agent, env_config, seed)
+    return states
+
+
+def bundled_env(name, bandwidths=(8.0, 32.0, 64.0)):
+    topo = load_bundled_topology(name)
+    return EnvConfig(
+        topology=topo, paths=compute_candidate_paths(topo, 4), demand_bandwidths=bandwidths
+    )
+
+
+class TestForwardCachesMatchReference:
+    """``forward`` keeps per-parameter terms (tiled biases, demand embeddings,
+    per-context link terms) and per-pair on-path layouts. Whichever
+    parameters, context and candidate sequence reach it, every output must
+    equal ``einsum_forward``'s byte for byte."""
+
+    config = PolicyConfig(deterministic_eval=False, action_noise_epsilon=0.5)
+
+    def assert_matches(self, params, ctx, state, candidates):
+        got = forward(params, ctx, state, candidates)
+        assert got.tobytes() == einsum_forward(params, ctx, state, candidates).tobytes()
+
+    def test_own_reversed_and_rebuilt_candidate_sequences(self):
+        env_config = bundled_env("geant2")
+        ctx = PolicyContext.for_env(env_config)
+        params = mutated_params(self.config, 1)
+        states = rollout_states(env_config, params, self.config, range(4))
+        assert len(states) >= 20
+        for state in states:
+            own = env_config.paths.path_arrays(state.pending.src, state.pending.dst)
+            # The pair's own tuple first, so its layout is cached before the
+            # reordered and rebuilt sequences of the same pair come in.
+            for candidates in (own, own[::-1], list(own), tuple(a.copy() for a in own)):
+                self.assert_matches(params, ctx, state, candidates)
+
+    def test_one_params_object_across_topologies(self):
+        envs = [bundled_env("nsfnet"), bundled_env("geant2")]
+        contexts = [PolicyContext.for_env(env) for env in envs]
+        params = mutated_params(self.config, 2)
+        states = [rollout_states(env, params, self.config, range(3)) for env in envs]
+        for pair in zip(*states):
+            for env, ctx, state in zip(envs, contexts, pair):
+                candidates = env.paths.path_arrays(state.pending.src, state.pending.dst)
+                self.assert_matches(params, ctx, state, candidates)
+
+    def test_contexts_with_different_max_bandwidth(self):
+        # One table, one params object, two demand ranges: a bandwidth of 8
+        # is load 1/8 under one context and 1/2 under the other.
+        wide = bundled_env("nsfnet")
+        narrow = replace(wide, demand_bandwidths=(8.0, 16.0))
+        contexts = [PolicyContext.for_env(wide), PolicyContext.for_env(narrow)]
+        params = mutated_params(self.config, 3)
+        states = rollout_states(narrow, params, self.config, range(4))
+        for state in states:
+            candidates = wide.paths.path_arrays(state.pending.src, state.pending.dst)
+            for ctx in contexts:
+                self.assert_matches(params, ctx, state, candidates)
+
+    def test_racing_threads_share_every_cache(self):
+        # Inproc workers share one params object per evaluation and one
+        # table. Eight threads, released together, enter the caches cold;
+        # each round puts a different cache first. Every thread must be
+        # handed the one stored object, and every output must match.
+        env_config = bundled_env("geant2")
+        params = mutated_params(self.config, 4)
+        states = rollout_states(env_config, params, self.config, range(3))
+        pairs = [
+            (state, env_config.paths.path_arrays(state.pending.src, state.pending.dst))
+            for state in states
+        ]
+        ctx = PolicyContext.for_env(env_config)
+        expected = [einsum_forward(params, ctx, state, cands).tobytes() for state, cands in pairs]
+        n_links = ctx.capacities.shape[0]
+        for round_ in range(4):
+            fresh = replace(env_config, paths=compute_candidate_paths(env_config.topology, 4))
+            ctx = PolicyContext.for_env(fresh)
+            params = PolicyParams(manifest=params.manifest, values=params.values)
+            caches = [
+                lambda d, c: params.link_terms(ctx),
+                lambda d, c: params.message_layers(n_links * len(c)),
+                lambda d, c: params.demand_embedding(d.bandwidth / ctx.max_bandwidth),
+                lambda d, c: fresh.paths.on_path(d.src, d.dst, c, n_links),
+            ]
+            caches = caches[round_:] + caches[:round_]
+            seen = [[] for _ in range(8)]
+            barrier = threading.Barrier(8)
+
+            def work(out, order):
+                barrier.wait()
+                for i in order:
+                    state = pairs[i][0]
+                    candidates = fresh.paths.path_arrays(state.pending.src, state.pending.dst)
+                    cached = [cache(state.pending, candidates) for cache in caches]
+                    out.append((i, cached, forward(params, ctx, state, candidates)))
+
+            order = list(range(len(pairs)))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=work, args=(seen[i], order[i::-1] + order[i + 1:]))
+                    for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            for out in seen:
+                assert len(out) == len(pairs)
+                for i, cached, probs in out:
+                    state = pairs[i][0]
+                    candidates = fresh.paths.path_arrays(state.pending.src, state.pending.dst)
+                    for cache, got in zip(caches, cached):
+                        assert got is cache(state.pending, candidates)
+                    assert probs.tobytes() == expected[i]
 
 
 class TestSampleAction:

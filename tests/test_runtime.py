@@ -208,9 +208,10 @@ class TestInprocErrorPaths:
         )
         before = set(threading.enumerate())
         start = time.monotonic()
-        with pytest.raises(WorkerTimeoutError, match="worker 1 died during iteration 0"):
+        with pytest.raises(WorkerTimeoutError, match="worker 1 died during iteration 0") as info:
             run_inproc(slow_deadline, theta0, 3)
         assert time.monotonic() - start < 2.0
+        assert isinstance(info.value.__cause__, _WorkerThreadDeath)
         assert self.new_threads(before) == []
 
 
