@@ -4,14 +4,14 @@ The coordinator doubles as worker 0: it evaluates its own mutation slice,
 gathers the other workers' returns, computes the parameter update, and
 broadcasts the delta. Workers re-derive their perturbations from the shared
 seed scheme, so only (index, return) pairs and the update vector ever cross
-the wire. Two transports implement the identical message contract: queue
-pairs between threads (in-process) and framed sockets between processes.
+the wire. Every message goes through the framed socket codec of ``wire``:
+in-process workers are threads on socket pairs, multi-process workers dial
+the coordinator over loopback TCP.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
 import socket
 import threading
 import time
@@ -35,7 +35,6 @@ from .es import (
 from .policy import ParamManifest, PolicyParams
 from .wire import (
     IterationBegin,
-    Message,
     ReturnsReport,
     Shutdown,
     SocketConnection,
@@ -136,15 +135,14 @@ def run_coordinator(
     """
     es = setup.es
     n = len(connections) + 1
-    assignments = partition_mutations(es.num_mutations, n, es.mirrored)
     theta = theta0
-    version = 0
     stats = RunStats()
     try:
+        assignments = partition_mutations(es.num_mutations, n, es.mirrored)
         for t in range(es.iterations):
             wall_start = time.perf_counter()
             for worker_id in range(1, n):
-                connections[worker_id - 1].send(IterationBegin(t, version, assignments[worker_id]))
+                connections[worker_id - 1].send(IterationBegin(t, assignments[worker_id]))
 
             own_start = time.perf_counter()
             records = evaluate_assignment(theta, es, t, assignments[0].indices, setup.evaluator)
@@ -168,7 +166,6 @@ def run_coordinator(
             for conn in connections:
                 conn.send(UpdateBroadcast(t, delta))
             theta = PolicyParams(manifest=setup.manifest, values=theta.values + delta)
-            version += 1
             update_seconds = time.perf_counter() - update_start
 
             iteration = IterationStats(
@@ -203,7 +200,7 @@ def _await_report(connection, worker_id: int, t: int, deadline: float) -> Return
             f"worker {worker_id} sent no returns for iteration {t} "
             f"within the iteration timeout"
         ) from None
-    except (WireError, OSError, EOFError) as exc:
+    except (WireError, OSError) as exc:
         raise WorkerTimeoutError(f"worker {worker_id} died during iteration {t}: {exc}") from exc
     if not isinstance(message, ReturnsReport):
         raise ProtocolError(
@@ -231,24 +228,20 @@ def _check_report(report: ReturnsReport, assignment: WorkerAssignment, t: int) -
 def run_worker(setup: TrainingSetup, theta0: PolicyParams, connection) -> int:
     """Worker loop: evaluate assigned mutations, report, apply broadcast updates.
 
-    Returns 0 on a clean shutdown. The lock-step protocol forbids version
-    divergence, so a theta version mismatch is fatal.
+    Returns 0 on a clean shutdown. The lock-step protocol announces
+    iterations in order, one per applied update, so any other ``t`` is fatal.
     """
     es = setup.es
     theta = theta0
-    version = 0
+    t = 0  # updates applied so far
     while True:
         message = connection.recv(timeout=None)
         if isinstance(message, Shutdown):
             return 0
         if not isinstance(message, IterationBegin):
             raise ProtocolError(f"unexpected {type(message).__name__} while idle")
-        if message.theta_version != version:
-            raise ProtocolError(
-                f"theta version mismatch: coordinator announced {message.theta_version}, "
-                f"local is {version}"
-            )
-        t = message.t
+        if message.t != t:
+            raise ProtocolError(f"coordinator announced iteration {message.t}, expected {t}")
         eval_start = time.perf_counter()
         records = evaluate_assignment(theta, es, t, message.assignment.indices, setup.evaluator)
         eval_seconds = time.perf_counter() - eval_start
@@ -264,46 +257,7 @@ def run_worker(setup: TrainingSetup, theta0: PolicyParams, connection) -> int:
         if not isinstance(update, UpdateBroadcast) or update.t != t:
             raise ProtocolError(f"expected update for iteration {t}, got {update!r}")
         theta = PolicyParams(manifest=setup.manifest, values=theta.values + update.delta)
-        version += 1
-
-
-_CLOSED = object()  # what close() queues for the peer
-
-
-class QueueConnection:
-    """In-process bidirectional endpoint over a pair of queues.
-
-    ``close`` wakes the peer as a socket's close does: once the peer has read
-    what was sent before it, each of its ``recv`` calls raises EOFError.
-    """
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue) -> None:
-        self._inbox = inbox
-        self._outbox = outbox
-        self.sent_messages = 0
-
-    @staticmethod
-    def pair() -> tuple["QueueConnection", "QueueConnection"]:
-        a_to_b: queue.Queue = queue.Queue()
-        b_to_a: queue.Queue = queue.Queue()
-        return QueueConnection(b_to_a, a_to_b), QueueConnection(a_to_b, b_to_a)
-
-    def send(self, message: Message) -> None:
-        self.sent_messages += 1
-        self._outbox.put(message)
-
-    def recv(self, timeout: float | None = None) -> Message:
-        try:
-            message = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise TimeoutError("no message within timeout") from None
-        if message is _CLOSED:
-            self._inbox.put(_CLOSED)  # for the next recv
-            raise EOFError("peer closed the connection")
-        return message
-
-    def close(self) -> None:
-        self._outbox.put(_CLOSED)
+        t += 1
 
 
 def run_inproc(
@@ -312,16 +266,16 @@ def run_inproc(
     n: int,
     on_iteration: Callable[[IterationStats, PolicyParams], None] | None = None,
 ) -> tuple[PolicyParams, RunStats]:
-    """Coordinator plus n-1 worker threads over queue connections.
+    """Coordinator plus n-1 worker threads over socket pairs.
 
     Either side's exit closes its end, so an error on one side wakes the
-    other instead of leaving it blocked in ``recv``.
+    other with EOF instead of leaving it blocked in ``recv``.
     """
-    coordinator_ends: list[QueueConnection] = []
+    coordinator_ends: list[SocketConnection] = []
     threads: list[threading.Thread] = []
     worker_errors: list[BaseException] = []
 
-    def worker_main(conn: QueueConnection) -> None:
+    def worker_main(conn: SocketConnection) -> None:
         try:
             run_worker(setup, theta0, conn)
         except BaseException as exc:  # surfaced after join
@@ -330,7 +284,7 @@ def run_inproc(
             conn.close()
 
     for _ in range(n - 1):
-        coord_end, worker_end = QueueConnection.pair()
+        coord_end, worker_end = SocketConnection.pair()
         coordinator_ends.append(coord_end)
         thread = threading.Thread(target=worker_main, args=(worker_end,), daemon=True)
         thread.start()
@@ -376,8 +330,13 @@ def serve_workers(
             sock, _ = listener.accept()
             connections.append(SocketConnection(sock))
     except TimeoutError:
+        listener.close()
         for conn in connections:
             conn.close()
+        for process in processes:
+            if process is not None:
+                process.kill()
+                process.wait()
         raise WorkerTimeoutError(
             f"only {len(connections)} of {n - 1} workers connected within {accept_timeout}s"
         ) from None
@@ -411,6 +370,7 @@ def run_proc(
                     log.warning("worker process exited with status %s", code)
             except Exception:
                 process.kill()
+                process.wait()
     return result
 
 

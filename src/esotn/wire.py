@@ -1,4 +1,4 @@
-"""Framed binary protocol for the multi-process coordinator/worker link.
+"""Framed binary protocol for the coordinator/worker link.
 
 Frame layout: 4-byte little-endian payload length, 1-byte message tag,
 payload. Scalars are little-endian 64-bit (floats f8, integers i8); vectors
@@ -46,7 +46,6 @@ class WorkerAssignment:
 @dataclass(frozen=True)
 class IterationBegin:
     t: int
-    theta_version: int
     assignment: WorkerAssignment
 
 
@@ -82,7 +81,7 @@ Message = IterationBegin | ReturnsReport | UpdateBroadcast | Shutdown
 def encode_message(message: Message) -> bytes:
     if isinstance(message, IterationBegin):
         a = message.assignment
-        payload = struct.pack("<5q", message.t, message.theta_version, a.worker_id, a.start, a.stop)
+        payload = struct.pack("<4q", message.t, a.worker_id, a.start, a.stop)
         tag = TAG_ITERATION_BEGIN
     elif isinstance(message, ReturnsReport):
         payload = struct.pack("<2qdQ", message.t, message.worker_id,
@@ -104,8 +103,8 @@ def encode_message(message: Message) -> bytes:
 def decode_payload(tag: int, payload: bytes) -> Message:
     try:
         if tag == TAG_ITERATION_BEGIN:
-            t, version, worker_id, start, stop = struct.unpack("<5q", payload)
-            return IterationBegin(t, version, WorkerAssignment(worker_id, start, stop))
+            t, worker_id, start, stop = struct.unpack("<4q", payload)
+            return IterationBegin(t, WorkerAssignment(worker_id, start, stop))
         if tag == TAG_RETURNS_REPORT:
             t, worker_id, eval_seconds, count = struct.unpack_from("<2qdQ", payload)
             offset = struct.calcsize("<2qdQ")
@@ -150,7 +149,14 @@ class SocketConnection:
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):  # a socket pair is AF_UNIX
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    @classmethod
+    def pair(cls) -> tuple[SocketConnection, SocketConnection]:
+        """Two connected endpoints within one process."""
+        a, b = socket.socketpair()
+        return cls(a), cls(b)
 
     def send(self, message: Message) -> None:
         self._sock.sendall(encode_message(message))

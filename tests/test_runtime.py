@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import threading
 import time
 
@@ -17,17 +19,24 @@ from esotn.es import (
 from esotn.policy import ParamManifest, PolicyParams
 from esotn.runtime import (
     ConfigurationError,
-    QueueConnection,
     TrainingSetup,
     WorkerTimeoutError,
     partition_mutations,
     run_coordinator,
     run_inproc,
     run_worker,
+    serve_workers,
     wall_time_breakdown,
 )
 from esotn.seeds import derive_key, rng_from_key
-from esotn.wire import IterationBegin, ReturnsReport, Shutdown, UpdateBroadcast, WorkerAssignment
+from esotn.wire import (
+    IterationBegin,
+    ReturnsReport,
+    Shutdown,
+    SocketConnection,
+    UpdateBroadcast,
+    WorkerAssignment,
+)
 
 
 def vector_params(values):
@@ -35,6 +44,34 @@ def vector_params(values):
     return PolicyParams(
         manifest=ParamManifest(tensors=(("theta", (values.size,)),)), values=values
     )
+
+
+@pytest.fixture
+def connection_pair():
+    """Makes in-process socket pairs and closes both ends of each afterwards."""
+    ends = []
+
+    def make():
+        pair = SocketConnection.pair()
+        ends.extend(pair)
+        return pair
+
+    yield make
+    for end in ends:
+        end.close()
+
+
+def count_sends(conn):
+    """Count ``conn``'s sends in ``conn.sent``."""
+    send = conn.send
+    conn.sent = 0
+
+    def counting_send(message):
+        conn.sent += 1
+        send(message)
+
+    conn.send = counting_send
+    return conn
 
 
 def quadratic_setup(dim=6, **config_overrides):
@@ -134,7 +171,7 @@ class TestInproc:
         multi, _ = run_inproc(setup, theta0, n)
         assert np.array_equal(solo.values, multi.values)
 
-    def test_message_economy(self):
+    def test_message_economy(self, connection_pair):
         # Per iteration exactly n-1 reports and n-1 broadcasts cross the
         # connections; nothing else.
         setup, theta0 = quadratic_setup()
@@ -142,8 +179,8 @@ class TestInproc:
         coordinator_ends = []
         threads = []
         for _ in range(n - 1):
-            coord_end, worker_end = QueueConnection.pair()
-            coordinator_ends.append(coord_end)
+            coord_end, worker_end = connection_pair()
+            coordinator_ends.append(count_sends(coord_end))
             thread = threading.Thread(
                 target=run_worker, args=(setup, theta0, worker_end), daemon=True
             )
@@ -155,7 +192,7 @@ class TestInproc:
         T = setup.es.iterations
         for coord_end in coordinator_ends:
             # coordinator sent: T begins + T broadcasts + 1 shutdown
-            assert coord_end.sent_messages == 2 * T + 1
+            assert coord_end.sent == 2 * T + 1
 
     def test_worker_exception_propagates(self):
         setup, theta0 = quadratic_setup()
@@ -193,6 +230,15 @@ class TestInprocErrorPaths:
         assert time.monotonic() - start < 2.0
         assert self.new_threads(before) == []
 
+    def test_bad_layout_releases_workers(self):
+        setup, theta0 = quadratic_setup()
+        before = set(threading.enumerate())
+        start = time.monotonic()
+        with pytest.raises(ConfigurationError, match="10 workers cannot share 8"):
+            run_inproc(setup, theta0, 10)
+        assert time.monotonic() - start < 2.0
+        assert self.new_threads(before) == []
+
     def test_worker_death_wakes_coordinator(self):
         setup, theta0 = quadratic_setup()
         target = setup.evaluator
@@ -216,34 +262,32 @@ class TestInprocErrorPaths:
 
 
 class TestWorkerProtocol:
-    def test_shutdown_first_clean_exit(self):
+    def test_shutdown_first_clean_exit(self, connection_pair):
         setup, theta0 = quadratic_setup()
-        coord_end, worker_end = QueueConnection.pair()
+        coord_end, worker_end = connection_pair()
         coord_end.send(Shutdown())
         assert run_worker(setup, theta0, worker_end) == 0
 
-    def test_version_mismatch_fatal(self):
+    def test_out_of_order_iteration_fatal(self, connection_pair):
         setup, theta0 = quadratic_setup()
-        coord_end, worker_end = QueueConnection.pair()
-        coord_end.send(IterationBegin(t=0, theta_version=3, assignment=WorkerAssignment(1, 0, 2)))
-        with pytest.raises(ProtocolError, match="version"):
+        coord_end, worker_end = connection_pair()
+        coord_end.send(IterationBegin(t=3, assignment=WorkerAssignment(1, 0, 2)))
+        with pytest.raises(ProtocolError, match="announced iteration 3, expected 0"):
             run_worker(setup, theta0, worker_end)
 
-    def test_report_covers_assignment_and_update_applied(self):
+    def test_report_covers_assignment_and_update_applied(self, connection_pair):
         setup, theta0 = quadratic_setup()
-        coord_end, worker_end = QueueConnection.pair()
+        coord_end, worker_end = connection_pair()
         assignment = WorkerAssignment(worker_id=1, start=2, stop=6)
         results = {}
 
         def drive():
-            coord_end.send(IterationBegin(t=0, theta_version=0, assignment=assignment))
+            coord_end.send(IterationBegin(t=0, assignment=assignment))
             report = coord_end.recv(timeout=10.0)
             results["report"] = report
             delta = np.full(6, 0.25)
             coord_end.send(UpdateBroadcast(t=0, delta=delta))
-            coord_end.send(
-                IterationBegin(t=1, theta_version=1, assignment=assignment)
-            )
+            coord_end.send(IterationBegin(t=1, assignment=assignment))
             results["second"] = coord_end.recv(timeout=10.0)
             coord_end.send(UpdateBroadcast(t=1, delta=np.zeros(6)))
             coord_end.send(Shutdown())
@@ -259,7 +303,7 @@ class TestWorkerProtocol:
         # second iteration evaluated theta0 + 0.25: different returns
         assert results["second"].returns != report.returns
 
-    def test_worker_epsilon_matches_coordinator_rederivation(self):
+    def test_worker_epsilon_matches_coordinator_rederivation(self, connection_pair):
         # The worker derives perturbations locally; the coordinator's
         # update-side re-derivation must agree bit for bit. Exercised by
         # echoing the evaluated parameter vector through the fitness.
@@ -279,10 +323,8 @@ class TestWorkerProtocol:
             manifest=setup.manifest,
             evaluator=capture,
         )
-        coord_end, worker_end = QueueConnection.pair()
-        coord_end.send(
-            IterationBegin(t=0, theta_version=0, assignment=WorkerAssignment(1, 0, 4))
-        )
+        coord_end, worker_end = connection_pair()
+        coord_end.send(IterationBegin(t=0, assignment=WorkerAssignment(1, 0, 4)))
 
         def finish():
             coord_end.recv(timeout=10.0)
@@ -322,19 +364,21 @@ class TestTimeouts:
         conn.close()
         listener.close()
 
-    def test_silent_worker_times_out_with_name(self):
+    def test_silent_worker_times_out_with_name(self, connection_pair):
         setup, theta0 = quadratic_setup()
         fast = TrainingSetup(
             es=setup.es, manifest=setup.manifest, evaluator=setup.evaluator,
             iter_timeout=0.3,
         )
-        dead_end, _ = QueueConnection.pair()  # nobody will ever answer
-        with pytest.raises(WorkerTimeoutError, match="worker 1.*iteration 0"):
+        # The silent end stays open until the fixture closes it: a closed end
+        # would be a dead worker, not a silent one.
+        dead_end, _silent = connection_pair()
+        with pytest.raises(WorkerTimeoutError, match="worker 1 sent no returns for iteration 0"):
             run_coordinator(fast, theta0, [dead_end])
 
-    def test_duplicate_indices_in_report_rejected(self):
+    def test_duplicate_indices_in_report_rejected(self, connection_pair):
         setup, theta0 = quadratic_setup()
-        coord_end, worker_end = QueueConnection.pair()
+        coord_end, worker_end = connection_pair()
 
         def rogue():
             msg = worker_end.recv(timeout=10.0)
@@ -353,9 +397,9 @@ class TestTimeouts:
             run_coordinator(setup, theta0, [coord_end])
         thread.join(timeout=10.0)
 
-    def test_out_of_assignment_report_rejected(self):
+    def test_out_of_assignment_report_rejected(self, connection_pair):
         setup, theta0 = quadratic_setup()
-        coord_end, worker_end = QueueConnection.pair()
+        coord_end, worker_end = connection_pair()
 
         def rogue():
             msg = worker_end.recv(timeout=10.0)
@@ -373,6 +417,28 @@ class TestTimeouts:
         with pytest.raises(ProtocolError, match="assigned"):
             run_coordinator(setup, theta0, [coord_end])
         thread.join(timeout=10.0)
+
+
+class TestServeWorkers:
+    def test_accept_timeout_reaps_spawned_workers(self):
+        spawned = []
+
+        def spawn(endpoint):  # a worker that never connects
+            process = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(20)"])
+            spawned.append(process)
+            return process
+
+        start = time.monotonic()
+        try:
+            with pytest.raises(WorkerTimeoutError, match="only 0 of 1 workers connected"):
+                serve_workers(2, spawn, accept_timeout=0.5)
+            assert time.monotonic() - start < 5.0
+            assert spawned[0].poll() is not None
+        finally:
+            for process in spawned:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
 
 
 class TestWallTimeBreakdown:

@@ -20,7 +20,7 @@ from esotn.wire import (
 _HEADER_BYTES = 5
 
 
-def round_trip(message):
+def codec_round_trip(message):
     frame = encode_message(message)
     length = int.from_bytes(frame[:4], "little")
     tag = frame[4]
@@ -28,34 +28,69 @@ def round_trip(message):
     return decode_payload(tag, frame[_HEADER_BYTES:])
 
 
-class TestFraming:
-    def test_iteration_begin(self):
-        msg = IterationBegin(t=3, theta_version=3, assignment=WorkerAssignment(2, 8, 16))
-        assert round_trip(msg) == msg
+def socket_pair_round_trip(message):
+    sender, receiver = SocketConnection.pair()
+    try:
+        sender.send(message)
+        return receiver.recv(timeout=5.0)
+    finally:
+        sender.close()
+        receiver.close()
 
-    def test_returns_report(self):
+
+@pytest.fixture(params=[codec_round_trip, socket_pair_round_trip], ids=["codec", "socket_pair"])
+def round_trip(request):
+    return request.param
+
+
+def loopback_tcp_pair():
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    client = socket.create_connection(server.getsockname())
+    accepted, _ = server.accept()
+    server.close()
+    return SocketConnection(client), SocketConnection(accepted)
+
+
+@pytest.fixture(params=[loopback_tcp_pair, SocketConnection.pair], ids=["tcp", "socket_pair"])
+def connection_pair(request):
+    """Two connected endpoints, both closed after the test."""
+    ends = request.param()
+    yield ends
+    for end in ends:
+        end.close()
+
+
+class TestFraming:
+    def test_iteration_begin(self, round_trip):
+        msg = IterationBegin(t=3, assignment=WorkerAssignment(2, 8, 16))
+        assert round_trip(msg) == msg
+        assert len(encode_message(msg)) == _HEADER_BYTES + 4 * 8  # t and the assignment
+
+    def test_returns_report(self, round_trip):
         msg = ReturnsReport(
             t=5, worker_id=1, returns=((3, 1.25), (4, -2.5)), eval_seconds=0.125
         )
         assert round_trip(msg) == msg
 
-    def test_returns_report_nan_survives(self):
+    def test_returns_report_nan_survives(self, round_trip):
         msg = ReturnsReport(t=0, worker_id=2, returns=((0, math.nan),), eval_seconds=0.0)
         decoded = round_trip(msg)
         assert math.isnan(decoded.returns[0][1])
 
-    def test_update_broadcast(self):
+    def test_update_broadcast(self, round_trip):
         delta = np.linspace(-1, 1, 37)
         decoded = round_trip(UpdateBroadcast(t=9, delta=delta))
         assert decoded.t == 9
         assert np.array_equal(decoded.delta, delta)
 
-    def test_update_broadcast_exact_bits(self):
+    def test_update_broadcast_exact_bits(self, round_trip):
         delta = np.array([0.1, -1e300, 3.7e-200])
         decoded = round_trip(UpdateBroadcast(t=0, delta=delta))
         assert decoded.delta.tobytes() == delta.tobytes()
 
-    def test_shutdown(self):
+    def test_shutdown(self, round_trip):
         assert round_trip(Shutdown()) == Shutdown()
 
     def test_unknown_tag(self):
@@ -125,27 +160,13 @@ class TestSocketConnection:
         assert received[0] == sent
         assert np.array_equal(reply.delta, np.array([1.0, 2.0]))
 
-    def test_recv_timeout(self):
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        port = server.getsockname()[1]
-        client = SocketConnection(socket.create_connection(("127.0.0.1", port)))
+    def test_recv_timeout(self, connection_pair):
+        conn, _silent = connection_pair
         with pytest.raises(TimeoutError):
-            client.recv(timeout=0.05)
-        client.close()
-        server.close()
+            conn.recv(timeout=0.05)
 
-    def test_eof_raises_wire_error(self):
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        port = server.getsockname()[1]
-        raw_client = socket.create_connection(("127.0.0.1", port))
-        sock, _ = server.accept()
-        sock.close()
-        conn = SocketConnection(raw_client)
+    def test_eof_raises_wire_error(self, connection_pair):
+        conn, peer = connection_pair
+        peer.close()
         with pytest.raises(WireError, match="closed"):
             conn.recv(timeout=1.0)
-        conn.close()
-        server.close()
