@@ -28,9 +28,9 @@ from .config import (
     load_run_config,
     write_config_echo,
 )
-from .env import run_episode, write_episode_trace
-from .es import ProtocolError
-from .policy import PolicyParams, build_manifest, make_agent, PolicyContext
+from .env import write_episode_trace
+from .es import ProtocolError, make_rollout
+from .policy import PolicyParams, build_manifest
 from .runtime import (
     ConfigurationError,
     RunStats,
@@ -198,10 +198,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_seeds(base_seed: int, episodes: int) -> list[int]:
-    return [derive_key(TAG_EVAL, base_seed, i) for i in range(episodes)]
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
@@ -218,20 +214,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         params = PolicyParams(manifest=manifest, values=np.zeros(manifest.total_dim))
 
-    eval_policy = replace(config.policy, deterministic_eval=True)
-    contexts = [PolicyContext.for_env(cfg) for cfg in env_configs]
-    seeds = _eval_seeds(config.es.global_seed, args.episodes)
-    returns = np.empty(args.episodes)
-    volumes = np.empty(args.episodes)
-    for i, seed in enumerate(seeds):
-        env_config = env_configs[i % len(env_configs)]
-        agent = make_agent(params, eval_policy, env_config, seed, contexts[i % len(contexts)])
-        trace: list | None = [] if args.trace and i == 0 else None
-        total, final_state = run_episode(agent, env_config, seed, trace)
-        if trace is not None:
-            write_episode_trace(args.trace, trace)
-        returns[i] = total
-        volumes[i] = final_state.allocated_total
+    seeds = [derive_key(TAG_EVAL, config.es.global_seed, i) for i in range(args.episodes)]
+    trace: list | None = [] if args.trace else None
+    rollout = make_rollout(env_configs, replace(config.policy, deterministic_eval=True))
+    episodes = rollout(params, seeds, trace=trace)
+    if trace is not None:
+        write_episode_trace(args.trace, trace)
+    returns = np.array([total for total, _ in episodes])
+    volumes = np.array([final_state.allocated_total for _, final_state in episodes])
 
     source = args.checkpoint if args.checkpoint is not None else "zero-parameter baseline"
     print(f"evaluated {args.episodes} episodes of {source} (seed base {config.es.global_seed})")

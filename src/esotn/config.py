@@ -17,7 +17,7 @@ from typing import Callable
 from .es import ESConfig, make_fitness_evaluator
 from .env import EnvConfig
 from .policy import PolicyConfig, PolicyParams, build_manifest, init_params
-from .runtime import DEFAULT_ITER_TIMEOUT, TrainingSetup
+from .runtime import DEFAULT_ITER_TIMEOUT, TrainingSetup, partition_mutations
 from .topology import (
     Topology,
     bundled_topology_names,
@@ -123,8 +123,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("inproc", "proc"):
             raise ConfigError(f"run.mode must be 'inproc' or 'proc', got {self.mode!r}")
-        if self.workers < 1:
-            raise ConfigError(f"run.workers must be >= 1, got {self.workers}")
+        try:  # every worker needs a mutation slice; no worker starts before this
+            partition_mutations(self.es.num_mutations, self.workers, self.es.mirrored)
+        except ValueError as exc:
+            raise ConfigError(f"run.workers = {self.workers}: {exc}") from None
         if not self.topology_files:
             raise ConfigError("topology.files must list at least one topology")
         if self.k_paths < 1:

@@ -1,6 +1,7 @@
 """Evolution-strategies core: seed-derived Gaussian perturbations with
-mirrored sampling, rank-based fitness shaping, and the natural-gradient-style
-parameter update.
+mirrored sampling, rank-based fitness shaping, the natural-gradient-style
+parameter update, and ``make_rollout``, the one rollout loop that scores a
+policy for both the training fitness and ``esotn eval``.
 
 Perturbations are never stored or transmitted: every consumer re-derives
 them from (seed, sign), one vector at a time, so memory stays O(total_dim)
@@ -123,15 +124,37 @@ def mutate(theta: PolicyParams, epsilon: np.ndarray, sigma: float) -> PolicyPara
     return PolicyParams(manifest=theta.manifest, values=theta.values + sigma * epsilon)
 
 
+def make_rollout(env_configs: Sequence[EnvConfig], policy_config: PolicyConfig) -> Callable:
+    """The one rollout loop, for the training fitness and ``esotn eval``:
+    ``rollout(params, seeds, draws=None, trace=None)`` plays seed i on env i
+    modulo the env count, round-robin, and gives one (return, final state)
+    per seed. ``draws`` memoises demand draws per (env index, seed); ``trace``
+    collects the first episode's steps. Each env's context is built once,
+    here; ``make_agent`` and ``run_episode`` resolve through this module's
+    globals, so a tracer that replaces them here sees either user."""
+    contexts = [PolicyContext.for_env(cfg) for cfg in env_configs]
+
+    def rollout(params: PolicyParams, seeds: Sequence[int], draws=None, trace=None) -> list:
+        results = []
+        for i, seed in enumerate(seeds):
+            e = i % len(env_configs)
+            agent = make_agent(params, policy_config, env_configs[e], seed, contexts[e])
+            memo = None if draws is None else draws.setdefault((e, seed), {})
+            results.append(
+                run_episode(agent, env_configs[e], seed, trace if i == 0 else None, memo)
+            )
+        return results
+
+    return rollout
+
+
 def make_fitness_evaluator(
     env_configs: Sequence[EnvConfig], policy_config: PolicyConfig
 ) -> Evaluator:
-    """Fitness function for training: the mean return, over the episode
-    seeds, of a stochastic agent (``deterministic_eval`` forced off), so
-    that ES improves the argmax policy that evaluation scores. Multiple
-    envs interleave round-robin across the seeds (mixed-topology training).
-    Errors propagate to ``evaluate_assignment``, which logs them and scores
-    the mutation as NaN.
+    """Fitness function for training: the mean return of ``make_rollout``'s
+    episodes with a stochastic agent (``deterministic_eval`` forced off), so
+    that ES improves the argmax policy that evaluation scores. Errors
+    propagate to ``evaluate_assignment``, which scores the mutation NaN.
 
     Every mutation of an iteration replays the same demand streams, so the
     closure memoises demand draws by (env index, episode seed, draw index).
@@ -142,8 +165,7 @@ def make_fitness_evaluator(
     ``setdefault`` (see ``DemandStream``), and every value is a pure
     function of its key, so a race can cost a redundant draw but never
     change a return."""
-    contexts = [PolicyContext.for_env(cfg) for cfg in env_configs]
-    rollout_config = replace(policy_config, deterministic_eval=False)
+    rollout = make_rollout(env_configs, replace(policy_config, deterministic_eval=False))
     memo: tuple[tuple[int, ...], dict] = ((), {})
 
     def evaluate(params: PolicyParams, seeds: Sequence[int]) -> float:
@@ -154,12 +176,8 @@ def make_fitness_evaluator(
             draws = {}
             memo = (seeds, draws)
         total = 0.0
-        for i, seed in enumerate(seeds):
-            e = i % len(env_configs)
-            env_config = env_configs[e]
-            agent = make_agent(params, rollout_config, env_config, seed, contexts[e])
-            demand_memo = draws.setdefault((e, seed), {})
-            total += run_episode(agent, env_config, seed, demand_memo=demand_memo)[0]
+        for episode_return, _ in rollout(params, seeds, draws):
+            total += episode_return
         return total / len(seeds)
 
     return evaluate

@@ -328,23 +328,17 @@ def make_agent(
     params: PolicyParams,
     config: PolicyConfig,
     env_config: EnvConfig,
-    episode_seed: int | None = None,
-    ctx: PolicyContext | None = None,
+    episode_seed: int,
+    ctx: PolicyContext,
 ) -> Callable[[EnvState], int]:
-    """An EnvState -> action callable for one episode.
+    """An EnvState -> action callable for one episode on ``env_config``.
 
     The one action rule: the argmax of ``forward`` (lowest index on ties),
     over the feasible candidates when ``feasibility_masking`` is on and any
     is feasible. A deterministic agent returns it; a stochastic one is
     epsilon-greedy on it, drawing from a stream keyed by the episode seed.
     """
-    if ctx is None:
-        ctx = PolicyContext.for_env(env_config)
-    rng = None
-    if not config.deterministic_eval:
-        if episode_seed is None:
-            raise ValueError("stochastic agents need an episode_seed for their noise stream")
-        rng = rng_from_key(derive_key(TAG_ACTION, episode_seed))
+    rng = None if config.deterministic_eval else rng_from_key(derive_key(TAG_ACTION, episode_seed))
     paths = env_config.paths
 
     def act(state: EnvState) -> int:

@@ -49,7 +49,7 @@ DEFAULT_ITER_TIMEOUT = 300.0
 
 
 class ConfigurationError(ValueError):
-    """Invalid worker/mutation layout."""
+    """Invalid worker/mutation layout or coordinator endpoint."""
 
 
 class WorkerTimeoutError(RuntimeError):
@@ -377,6 +377,8 @@ def run_proc(
 def connect_worker(endpoint: str, timeout: float = 60.0) -> SocketConnection:
     """Dial the coordinator at ``host:port``."""
     host, _, port = endpoint.rpartition(":")
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise ConfigurationError(f"--connect expects HOST:PORT, got {endpoint!r}")
     sock = socket.create_connection((host, int(port)), timeout=timeout)
     sock.settimeout(None)
     return SocketConnection(sock)

@@ -1,4 +1,5 @@
 import socket
+import subprocess
 import threading
 
 import numpy as np
@@ -309,6 +310,28 @@ class TestBench:
         assert not (out / "bench.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, workers, mode",
+    [("train", "3", "inproc"), ("train", "3", "proc"), ("bench", "1,3", "proc")],
+)
+def test_worker_layout_checked_before_any_run(
+    triangle_cfg, capsys, monkeypatch, command, workers, mode
+):
+    # es.mutations = 4 is two mirrored pairs, which three workers cannot share.
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("a worker process was spawned")
+
+    monkeypatch.setattr(subprocess, "Popen", no_spawn)
+    cfg_path, tmp_path = triangle_cfg
+    out = tmp_path / "layout_out"
+    argv = [command, "--config", str(cfg_path), "--workers", workers, "--mode", mode]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "run.workers" in err
+    assert len(err.splitlines()) == 1
+    assert not (out / "config.echo.n1.cfg").exists() and not out.exists()
+
+
 class TestMixedTopologies:
     def test_one_agent_trains_across_two_topologies(self, tmp_path):
         cfg = tmp_path / "mixed.cfg"
@@ -353,6 +376,7 @@ class TestWorkerCommand:
             sock, _ = listener.accept()
             conn = SocketConnection(sock)
             conn.send(Shutdown())
+            conn.close()
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
@@ -374,3 +398,11 @@ class TestWorkerCommand:
             ["worker", "--connect", f"127.0.0.1:{port}", "--config", str(cfg_path)]
         ) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:abc", "nocolon"])
+    def test_worker_malformed_endpoint(self, triangle_cfg, capsys, endpoint):
+        cfg_path, _ = triangle_cfg
+        assert main(["worker", "--connect", endpoint, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "HOST:PORT" in err
+        assert len(err.splitlines()) == 1

@@ -26,6 +26,7 @@ from esotn.es import (
 from esotn.policy import (
     ParamManifest,
     PolicyConfig,
+    PolicyContext,
     PolicyParams,
     build_manifest,
     init_params,
@@ -290,7 +291,8 @@ class TestEvaluateMutation:
         seeds = [derive_key(1, 0)]
         raw = make_fitness_evaluator(env_configs, policy_config)(params, seeds)
         rollout_config = replace(policy_config, deterministic_eval=False)
-        agent = make_agent(params, rollout_config, env_configs[0], seeds[0])
+        ctx = PolicyContext.for_env(env_configs[0])
+        agent = make_agent(params, rollout_config, env_configs[0], seeds[0], ctx)
         assert raw == run_episode(agent, env_configs[0], seeds[0])[0]
 
     def test_deterministic(self, env_setup):
@@ -352,8 +354,9 @@ class TestFitnessEvaluator:
         params = init_params(policy_config, 0)
         seeds = [derive_key(TAG_EVAL, 0, i) for i in range(8)]
         fitness = make_fitness_evaluator([env_config], policy_config)(params, seeds)
+        ctx = PolicyContext.for_env(env_config)
         argmax_returns = [
-            run_episode(make_agent(params, policy_config, env_config), env_config, s)[0]
+            run_episode(make_agent(params, policy_config, env_config, s, ctx), env_config, s)[0]
             for s in seeds
         ]
         assert fitness == np.mean(argmax_returns)
@@ -375,10 +378,11 @@ class TestFitnessEvaluator:
         after_history = evaluate(params, a)
 
         rollout_config = replace(config.policy, deterministic_eval=False)
+        contexts = [PolicyContext.for_env(env_config) for env_config in env_configs]
         total = 0.0
         for i, seed in enumerate(a):
             env_config = env_configs[i % 2]
-            agent = make_agent(params, rollout_config, env_config, seed)
+            agent = make_agent(params, rollout_config, env_config, seed, contexts[i % 2])
             total += run_episode(agent, env_config, seed)[0]
         assert after_history == make_fitness_evaluator(env_configs, config.policy)(params, a)
         assert after_history == total / len(a)

@@ -16,6 +16,7 @@ import esotn.es
 import esotn.policy
 import esotn.runtime
 import esotn.wire
+from esotn.cli import main
 from esotn.env import EnvConfig
 from esotn.es import make_fitness_evaluator
 from esotn.policy import PolicyConfig, init_params
@@ -105,3 +106,36 @@ def test_rollout_resolves_step_functions_through_module_globals(monkeypatch, mas
     assert calls["forward"] == calls["step"]
     assert calls["env.feasible"] == calls["allocated"]
     assert calls["policy.feasible"] == (calls["step"] if masking else 0)
+
+
+def test_eval_resolves_agent_and_forward_through_module_globals(monkeypatch, capsys):
+    # ``esotn eval`` rolls out through the same module globals as the
+    # training fitness: one ``esotn.es.make_agent`` per episode and one
+    # ``esotn.policy.forward`` per ``OtnEnv.step``.
+    calls = {"make_agent": 0, "forward": 0, "step": 0}
+    make_agent, forward, original_step = (
+        esotn.es.make_agent, esotn.policy.forward, esotn.env.OtnEnv.step
+    )
+
+    def counted_make_agent(*args, **kwargs):
+        calls["make_agent"] += 1
+        return make_agent(*args, **kwargs)
+
+    def counted_forward(*args, **kwargs):
+        calls["forward"] += 1
+        return forward(*args, **kwargs)
+
+    def step(self, state, action):
+        calls["step"] += 1
+        return original_step(self, state, action)
+
+    monkeypatch.setattr(esotn.es, "make_agent", counted_make_agent)
+    monkeypatch.setattr(esotn.policy, "forward", counted_forward)
+    monkeypatch.setattr(esotn.env.OtnEnv, "step", step)
+    argv = ["eval", "--episodes", "3", "--set", "topology.files=nsfnet,geant2",
+            "--set", "policy.hidden_dim=4", "--set", "policy.message_passing_steps=1"]
+    assert main(argv) == 0
+    assert "evaluated 3 episodes" in capsys.readouterr().out
+    assert calls["make_agent"] == 3
+    assert calls["step"] > 20
+    assert calls["forward"] == calls["step"]

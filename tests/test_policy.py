@@ -280,8 +280,9 @@ def mutated_params(config, k, sigma=0.05):
 def rollout_states(env_config, params, config, seeds):
     """Copies of every state a stochastic agent acts on over the episodes."""
     states = []
+    ctx = PolicyContext.for_env(env_config)
     for seed in seeds:
-        agent = make_agent(params, config, env_config, episode_seed=seed)
+        agent = make_agent(params, config, env_config, episode_seed=seed, ctx=ctx)
 
         def recording_agent(state):
             states.append(EnvState(residual=state.residual.copy(), pending=state.pending))
@@ -415,11 +416,10 @@ class TestSampleAction:
         state = fresh_state(diamond_env)
         state.pending = Demand(0, 3, 4.0)
         state.residual[0] = 3.0  # break the symmetry
-        probs = forward(
-            params, PolicyContext.for_env(diamond_env), state, diamond_env.paths.path_arrays(0, 3)
-        )
+        ctx = PolicyContext.for_env(diamond_env)
+        probs = forward(params, ctx, state, diamond_env.paths.path_arrays(0, 3))
         assert probs[1] > probs[0]
-        assert make_agent(params, config, diamond_env)(state) == 1
+        assert make_agent(params, config, diamond_env, 0, ctx)(state) == 1
 
     def test_argmax_tie_breaks_to_lowest_index(self, diamond_env):
         # Zero parameters score every candidate alike.
@@ -428,7 +428,8 @@ class TestSampleAction:
         params = PolicyParams(manifest=manifest, values=np.zeros(manifest.total_dim))
         state = fresh_state(diamond_env)
         state.pending = Demand(0, 3, 4.0)
-        assert make_agent(params, config, diamond_env)(state) == 0
+        ctx = PolicyContext.for_env(diamond_env)
+        assert make_agent(params, config, diamond_env, 0, ctx)(state) == 0
 
     def test_zero_epsilon_matches_probs(self):
         rng = rng_from_key(derive_key(1))
@@ -466,11 +467,6 @@ class TestSampleAction:
         with pytest.raises(ValueError):
             PolicyConfig(action_noise_epsilon=1.0)
 
-    def test_stochastic_needs_rng(self, diamond_env):
-        config = PolicyConfig(deterministic_eval=False)
-        with pytest.raises(ValueError, match="episode_seed"):
-            make_agent(init_params(config, 0), config, diamond_env)
-
 
 class TestFlatten:
     def test_round_trip(self):
@@ -500,7 +496,7 @@ class TestAgent:
     def test_agent_runs_episode(self, diamond_env):
         params = init_params(PolicyConfig(hidden_dim=4, message_passing_steps=1), 0)
         agent = make_agent(params, PolicyConfig(hidden_dim=4, message_passing_steps=1),
-                           diamond_env, episode_seed=5)
+                           diamond_env, 5, PolicyContext.for_env(diamond_env))
         state = fresh_state(diamond_env, 5)
         action = agent(state)
         candidates = diamond_env.paths.paths_for(state.pending.src, state.pending.dst)
@@ -520,6 +516,7 @@ class TestAgent:
         state.pending = Demand(0, 3, 4.0)
         first_path = diamond_env.paths.path_arrays(0, 3)[0]
         state.residual[first_path[0]] = 1.0
-        assert make_agent(params, config, diamond_env, episode_seed=1)(state) == 0
+        ctx = PolicyContext.for_env(diamond_env)
+        assert make_agent(params, config, diamond_env, 1, ctx)(state) == 0
         masked = replace(config, feasibility_masking=True)
-        assert make_agent(params, masked, diamond_env, episode_seed=1)(state) == 1
+        assert make_agent(params, masked, diamond_env, 1, ctx)(state) == 1
