@@ -29,11 +29,10 @@ from .config import (
     write_config_echo,
 )
 from .env import write_episode_trace
-from .es import ProtocolError, make_rollout
+from .es import IterationStats, ProtocolError, make_rollout
 from .policy import PolicyParams, build_manifest
 from .runtime import (
     ConfigurationError,
-    RunStats,
     TrainingSetup,
     WorkerTimeoutError,
     connect_worker,
@@ -138,7 +137,7 @@ def _run_training(
     theta0: PolicyParams,
     echo_path: Path,
     on_iteration,
-) -> tuple[PolicyParams, RunStats]:
+) -> tuple[PolicyParams, list[IterationStats]]:
     n = config.workers
     if config.mode == "inproc":
         return run_inproc(setup, theta0, n, on_iteration)
@@ -191,7 +190,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     eval_fraction = wall_time_breakdown(stats)[0]
     print(
         f"trained {config.es.iterations} iterations: "
-        f"final mean return {stats.final_mean_return:.4f}, "
+        f"final mean return {stats[-1].mean_return:.4f}, "
         f"wall {wall:.1f}s, eval fraction {eval_fraction:.3f}"
     )
     print(f"outputs in {out}")
@@ -262,7 +261,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         write_config_echo(run_config, echo_path)
         setup, theta0 = build_training_setup(run_config)
         _, stats = _run_training(run_config, setup, theta0, echo_path, None)
-        eval_per_iter = float(np.mean([it.eval_seconds for it in stats.iterations]))
+        eval_per_iter = float(np.mean([it.eval_seconds for it in stats]))
         eval_fraction = wall_time_breakdown(stats)[0]
         rows.append((n, eval_per_iter, eval_fraction))
         print(

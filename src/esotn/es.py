@@ -3,9 +3,11 @@ mirrored sampling, rank-based fitness shaping, the natural-gradient-style
 parameter update, and ``make_rollout``, the one rollout loop that scores a
 policy for both the training fitness and ``esotn eval``.
 
-Perturbations are never stored or transmitted: every consumer re-derives
-them from (seed, sign), one vector at a time, so memory stays O(total_dim)
-no matter how many mutations an iteration uses.
+An iteration's fitness is one float64 vector of length k, indexed by
+mutation. Perturbations are never stored or transmitted: every consumer
+re-derives mutation j's from (seed, sign) = ``mutation_seed_sign(config,
+t, j)``, one vector at a time, so memory stays O(total_dim) no matter how
+many mutations an iteration uses.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ Evaluator = Callable[[PolicyParams, Sequence[int]], float]
 
 
 class ProtocolError(RuntimeError):
-    """An iteration's mutation records are incomplete or inconsistent."""
+    """A worker's report or an iteration's fitness vector is incomplete or
+    inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -64,24 +67,10 @@ class ESConfig:
             raise ValueError(f"unknown shaping mode {self.shaping!r}")
 
 
-@dataclass
-class MutationRecord:
-    """One perturbation's identity and measured fitness."""
-
-    iteration: int
-    index: int
-    seed: int
-    sign: int
-    raw_return: float = math.nan
-
-
-def pair_index(j: int, mirrored: bool) -> int:
-    return j // 2 if mirrored else j
-
-
 def mutation_seed_sign(config: ESConfig, t: int, j: int) -> tuple[int, int]:
     """Mirrored partners share a seed and differ only in sign."""
-    seed = derive_key(TAG_PERTURBATION, config.global_seed, t, pair_index(j, config.mirrored))
+    pair = j // 2 if config.mirrored else j
+    seed = derive_key(TAG_PERTURBATION, config.global_seed, t, pair)
     sign = -1 if config.mirrored and j % 2 else 1
     return seed, sign
 
@@ -189,23 +178,21 @@ def evaluate_assignment(
     t: int,
     indices: Sequence[int],
     evaluator: Evaluator,
-) -> list[MutationRecord]:
-    """Evaluate the given mutation indices of iteration t."""
+) -> list[float]:
+    """The raw returns of iteration t's mutations ``indices``, in that
+    order: NaN where the evaluator raised or gave a non-finite value."""
     seeds = episode_seeds(config, t)
-    records: list[MutationRecord] = []
-    seed_signs = [mutation_seed_sign(config, t, j) for j in indices]
-    epsilons = _perturbations(theta.manifest, seed_signs)
-    for j, (seed, sign), epsilon in zip(indices, seed_signs, epsilons):
+    raws: list[float] = []
+    epsilons = _perturbations(theta.manifest, [mutation_seed_sign(config, t, j) for j in indices])
+    for j, epsilon in zip(indices, epsilons):
         candidate = mutate(theta, epsilon, config.sigma)
         try:
             raw = float(evaluator(candidate, seeds))
         except Exception:
             log.exception("evaluator raised for mutation %d of iteration %d", j, t)
             raw = math.nan
-        if not math.isfinite(raw):
-            raw = math.nan
-        records.append(MutationRecord(iteration=t, index=j, seed=seed, sign=sign, raw_return=raw))
-    return records
+        raws.append(raw if math.isfinite(raw) else math.nan)
+    return raws
 
 
 def resolve_failures(raw_returns: np.ndarray, config: ESConfig) -> np.ndarray:
@@ -253,30 +240,21 @@ def shape_fitness(raw_returns: np.ndarray, method: str = "rank") -> np.ndarray:
 
 
 def compute_update(
-    records: Sequence[MutationRecord],
-    utilities: np.ndarray,
-    config: ESConfig,
-    manifest: ParamManifest,
+    utilities: np.ndarray, config: ESConfig, t: int, manifest: ParamManifest
 ) -> np.ndarray:
-    """alpha / (k * sigma) * sum_j utilities[j] * epsilon_j.
+    """alpha / (k * sigma) * sum_j utilities[j] * epsilon_j for iteration t.
 
-    Perturbations are re-derived from each record's (seed, sign) and
-    consumed one at a time, a mirrored pair's vector derived once.
+    Each epsilon_j is re-derived from ``mutation_seed_sign(config, t, j)``
+    and consumed in index order, one at a time, a mirrored pair's vector
+    derived once.
     """
     k = config.num_mutations
-    if len(records) != k:
-        raise ProtocolError(f"iteration needs {k} records, got {len(records)}")
-    by_index = sorted(records, key=lambda r: r.index)
-    if [r.index for r in by_index] != list(range(k)):
-        raise ProtocolError(
-            f"mutation indices {sorted(r.index for r in records)} do not cover 0..{k - 1}"
-        )
     if utilities.shape != (k,):
-        raise ProtocolError("utilities length does not match mutation count")
+        raise ProtocolError(f"iteration needs {k} utilities, got shape {utilities.shape}")
     acc = np.zeros(manifest.total_dim, dtype=np.float64)
-    epsilons = _perturbations(manifest, ((r.seed, r.sign) for r in by_index))
-    for record, epsilon in zip(by_index, epsilons):
-        acc += utilities[record.index] * epsilon
+    epsilons = _perturbations(manifest, (mutation_seed_sign(config, t, j) for j in range(k)))
+    for j, epsilon in enumerate(epsilons):
+        acc += utilities[j] * epsilon
     return (config.alpha / (k * config.sigma)) * acc
 
 

@@ -89,9 +89,6 @@ class PolicyParams:
             for name, (start, stop, shape) in self.manifest.slots.items()
         }
 
-    def tensor(self, name: str) -> np.ndarray:
-        return self.views[name]
-
     def message_layers(self, rows: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(weight, bias as ``rows`` rows) per message step."""
         layers = self._layers.get(rows)

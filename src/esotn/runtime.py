@@ -15,7 +15,7 @@ import logging
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,10 +24,8 @@ from .es import (
     ESConfig,
     Evaluator,
     IterationStats,
-    MutationRecord,
     ProtocolError,
     evaluate_assignment,
-    mutation_seed_sign,
     resolve_failures,
     shape_fitness,
     compute_update,
@@ -93,27 +91,17 @@ class TrainingSetup:
     iter_timeout: float = DEFAULT_ITER_TIMEOUT
 
 
-@dataclass
-class RunStats:
-    iterations: list[IterationStats] = field(default_factory=list)
-
-    @property
-    def final_mean_return(self) -> float:
-        return self.iterations[-1].mean_return if self.iterations else float("nan")
-
-
-def wall_time_breakdown(stats: RunStats) -> tuple[float, float, float]:
+def wall_time_breakdown(stats: Sequence[IterationStats]) -> tuple[float, float, float]:
     """(eval, update, comm) fractions of total accounted run time.
 
     Evaluation time per iteration is the max over workers, so it reflects
     the barrier the coordinator actually waits on; comm is the residual of
     the iteration wall time.
     """
-    eval_total = sum(it.eval_seconds for it in stats.iterations)
-    update_total = sum(it.update_seconds for it in stats.iterations)
+    eval_total = sum(it.eval_seconds for it in stats)
+    update_total = sum(it.update_seconds for it in stats)
     comm_total = sum(
-        max(0.0, it.wall_seconds - it.eval_seconds - it.update_seconds)
-        for it in stats.iterations
+        max(0.0, it.wall_seconds - it.eval_seconds - it.update_seconds) for it in stats
     )
     total = eval_total + update_total + comm_total
     if total <= 0.0:
@@ -126,17 +114,18 @@ def run_coordinator(
     theta0: PolicyParams,
     connections: Sequence,
     on_iteration: Callable[[IterationStats, PolicyParams], None] | None = None,
-) -> tuple[PolicyParams, RunStats]:
+) -> tuple[PolicyParams, list[IterationStats]]:
     """Drive T lock-step iterations as worker 0 plus aggregator.
 
     ``connections`` carry workers 1..n-1 (empty for a single-worker run).
     Every iteration is a barrier: no update is computed until all returns
-    for that iteration arrived.
+    for that iteration arrived, each written into the iteration's fitness
+    vector at its mutation index.
     """
     es = setup.es
     n = len(connections) + 1
     theta = theta0
-    stats = RunStats()
+    stats: list[IterationStats] = []
     try:
         assignments = partition_mutations(es.num_mutations, n, es.mirrored)
         for t in range(es.iterations):
@@ -145,7 +134,11 @@ def run_coordinator(
                 connections[worker_id - 1].send(IterationBegin(t, assignments[worker_id]))
 
             own_start = time.perf_counter()
-            records = evaluate_assignment(theta, es, t, assignments[0].indices, setup.evaluator)
+            own = assignments[0]
+            raw = np.full(es.num_mutations, np.nan)
+            raw[own.start:own.stop] = evaluate_assignment(
+                theta, es, t, own.indices, setup.evaluator
+            )
             eval_times = [time.perf_counter() - own_start]
 
             deadline = time.monotonic() + setup.iter_timeout
@@ -153,16 +146,13 @@ def run_coordinator(
                 report = _await_report(connections[worker_id - 1], worker_id, t, deadline)
                 _check_report(report, assignments[worker_id], t)
                 eval_times.append(report.eval_seconds)
-                for j, raw in report.returns:
-                    seed, sign = mutation_seed_sign(es, t, j)
-                    records.append(MutationRecord(t, j, seed, sign, raw))
+                for j, value in report.returns:
+                    raw[j] = value
 
             update_start = time.perf_counter()
-            returns = resolve_failures(
-                np.array([r.raw_return for r in sorted(records, key=lambda r: r.index)]), es
-            )
+            returns = resolve_failures(raw, es)
             utilities = shape_fitness(returns, es.shaping)
-            delta = compute_update(records, utilities, es, setup.manifest)
+            delta = compute_update(utilities, es, t, setup.manifest)
             for conn in connections:
                 conn.send(UpdateBroadcast(t, delta))
             theta = PolicyParams(manifest=setup.manifest, values=theta.values + delta)
@@ -178,7 +168,7 @@ def run_coordinator(
                 wall_seconds=time.perf_counter() - wall_start,
                 theta_l2_norm=float(np.linalg.norm(theta.values)),
             )
-            stats.iterations.append(iteration)
+            stats.append(iteration)
             if on_iteration is not None:
                 on_iteration(iteration, theta)
         for conn in connections:
@@ -243,13 +233,14 @@ def run_worker(setup: TrainingSetup, theta0: PolicyParams, connection) -> int:
         if message.t != t:
             raise ProtocolError(f"coordinator announced iteration {message.t}, expected {t}")
         eval_start = time.perf_counter()
-        records = evaluate_assignment(theta, es, t, message.assignment.indices, setup.evaluator)
+        indices = message.assignment.indices
+        raws = evaluate_assignment(theta, es, t, indices, setup.evaluator)
         eval_seconds = time.perf_counter() - eval_start
         connection.send(
             ReturnsReport(
                 t=t,
                 worker_id=message.assignment.worker_id,
-                returns=tuple((r.index, r.raw_return) for r in records),
+                returns=tuple(zip(indices, raws)),
                 eval_seconds=eval_seconds,
             )
         )
@@ -265,7 +256,7 @@ def run_inproc(
     theta0: PolicyParams,
     n: int,
     on_iteration: Callable[[IterationStats, PolicyParams], None] | None = None,
-) -> tuple[PolicyParams, RunStats]:
+) -> tuple[PolicyParams, list[IterationStats]]:
     """Coordinator plus n-1 worker threads over socket pairs.
 
     Either side's exit closes its end, so an error on one side wakes the
@@ -317,19 +308,20 @@ def serve_workers(
     (returning a process handle or None for externally managed workers).
     """
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((bind_host, bind_port))
-    listener.listen(max(n - 1, 1))
-    host, port = listener.getsockname()
-    endpoint = f"{host}:{port}"
-    processes = [spawn(endpoint) for _ in range(n - 1)]
+    processes: list = []
     connections: list[SocketConnection] = []
-    listener.settimeout(accept_timeout)
     try:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((bind_host, bind_port))
+        listener.listen(max(n - 1, 1))
+        host, port = listener.getsockname()
+        for _ in range(n - 1):
+            processes.append(spawn(f"{host}:{port}"))
+        listener.settimeout(accept_timeout)
         for _ in range(n - 1):
             sock, _ = listener.accept()
             connections.append(SocketConnection(sock))
-    except TimeoutError:
+    except BaseException as exc:
         listener.close()
         for conn in connections:
             conn.close()
@@ -337,6 +329,8 @@ def serve_workers(
             if process is not None:
                 process.kill()
                 process.wait()
+        if not isinstance(exc, TimeoutError):
+            raise
         raise WorkerTimeoutError(
             f"only {len(connections)} of {n - 1} workers connected within {accept_timeout}s"
         ) from None
@@ -351,7 +345,7 @@ def run_proc(
     on_iteration: Callable[[IterationStats, PolicyParams], None] | None = None,
     bind_host: str = "127.0.0.1",
     bind_port: int = 0,
-) -> tuple[PolicyParams, RunStats]:
+) -> tuple[PolicyParams, list[IterationStats]]:
     """Coordinator plus n-1 worker processes over local sockets; a
     single-worker run binds no listener and spawns nothing."""
     if n == 1:

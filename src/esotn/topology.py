@@ -189,9 +189,6 @@ class CandidatePathTable:
         for pair, paths in self.entries.items():
             self._arrays[pair] = tuple(np.array(p, dtype=np.intp) for p in paths)
 
-    def paths_for(self, src: int, dst: int) -> tuple[tuple[int, ...], ...]:
-        return self.entries[(src, dst)]
-
     def path_arrays(self, src: int, dst: int) -> tuple[np.ndarray, ...]:
         return self._arrays[(src, dst)]
 

@@ -38,10 +38,6 @@ class WorkerAssignment:
     def indices(self) -> range:
         return range(self.start, self.stop)
 
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
 
 @dataclass(frozen=True)
 class IterationBegin:

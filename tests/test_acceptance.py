@@ -165,9 +165,8 @@ class TestCriterion4EstimatorCorrectness:
         )
         total = np.zeros(dim)
         for t in range(10_000):
-            records = evaluate_assignment(theta, config, t, range(16), fitness)
-            raw = np.array([r.raw_return for r in records])
-            total += compute_update(records, shape_fitness(raw, "centered"), config, manifest)
+            raw = np.array(evaluate_assignment(theta, config, t, range(16), fitness))
+            total += compute_update(shape_fitness(raw, "centered"), config, t, manifest)
         cosine = float(total @ g / np.linalg.norm(total))
         report(
             "estimator_direction",
@@ -318,14 +317,13 @@ class TestCriterion7InvariantSuites:
         es_config = toy_config(num_mutations=8)
         manifest = ParamManifest(tensors=(("theta", (12,)),))
         theta = PolicyParams(manifest=manifest, values=np.zeros(12))
-        records = evaluate_assignment(
+        raw = np.array(evaluate_assignment(
             theta, es_config, 0, range(8),
             lambda p, s: float(np.sum(p.values**3)),  # arbitrary synthetic returns
-        )
-        raw = np.array([r.raw_return for r in records])
+        ))
         check("shaping_sum_zero", abs(shape_fitness(raw).sum()) < 1e-9)
-        delta_a = compute_update(records, shape_fitness(raw), es_config, manifest)
-        delta_b = compute_update(records, shape_fitness(raw * 4.0), es_config, manifest)
+        delta_a = compute_update(shape_fitness(raw), es_config, 0, manifest)
+        delta_b = compute_update(shape_fitness(raw * 4.0), es_config, 0, manifest)
         check("update_monotone_invariance", np.array_equal(delta_a, delta_b))
 
         # mirrored antithetic exactness, bitwise

@@ -133,7 +133,7 @@ def always_first_oracle(env_config, episode_seed):
     total = 0.0
     volume = 0.0
     while True:
-        links = env_config.paths.paths_for(demand.src, demand.dst)[0]
+        links = env_config.paths.entries[(demand.src, demand.dst)][0]
         if any(residual[l] < demand.bandwidth for l in links):
             break
         for l in links:
@@ -143,7 +143,7 @@ def always_first_oracle(env_config, episode_seed):
         demand = stream.sample()
         if not any(
             all(residual[l] >= demand.bandwidth for l in path)
-            for path in env_config.paths.paths_for(demand.src, demand.dst)
+            for path in env_config.paths.entries[(demand.src, demand.dst)]
         ):
             break
     return total, volume

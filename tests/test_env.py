@@ -110,7 +110,7 @@ class TestFeasibleActions:
         env = OtnEnv(triangle_env)
         state = env.reset(4)
         state.pending = Demand(0, 2, 4.0)
-        direct = triangle_env.paths.paths_for(0, 2)[0][0]
+        direct = triangle_env.paths.entries[(0, 2)][0][0]
         state.residual[direct] = 3.0
         mask = feasible_actions(state, triangle_env.paths)
         assert not mask[0]
@@ -171,7 +171,7 @@ class TestStep:
         env = OtnEnv(triangle_env)
         state = env.reset(4)
         state.pending = Demand(0, 2, 4.0)
-        links = triangle_env.paths.paths_for(0, 2)[1]  # two-hop path
+        links = triangle_env.paths.entries[(0, 2)][1]  # two-hop path
         state, reward, done = env.step(state, 1)
         assert reward == 1.0  # bandwidth 4 / max bandwidth 4
         for link in links:
@@ -183,7 +183,7 @@ class TestStep:
         env = OtnEnv(triangle_env)
         state = env.reset(4)
         state.pending = Demand(0, 2, 4.0)
-        direct = triangle_env.paths.paths_for(0, 2)[0][0]
+        direct = triangle_env.paths.entries[(0, 2)][0][0]
         state.residual[direct] = 3.0
         before = state.residual.copy()
         state, reward, done = env.step(state, 0)
@@ -241,7 +241,7 @@ def oracle_greedy_rollout(config, episode_seed):
     allocated = 0.0
     max_bw = max(config.demand_bandwidths)
     while True:
-        choices = config.paths.paths_for(demand.src, demand.dst)
+        choices = config.paths.entries[(demand.src, demand.dst)]
         chosen = None
         for links in choices:
             if all(residual[l] >= demand.bandwidth for l in links):
@@ -257,7 +257,7 @@ def oracle_greedy_rollout(config, episode_seed):
         demand = stream.sample()
         if not any(
             all(residual[l] >= demand.bandwidth for l in links)
-            for links in config.paths.paths_for(demand.src, demand.dst)
+            for links in config.paths.entries[(demand.src, demand.dst)]
         ):
             break
     return total_reward, allocated
@@ -305,7 +305,7 @@ class TestEpisodeReturn:
         def uniform_policy_return(seed):
             rng = np.random.default_rng(seed)
             def policy(state):
-                n = len(nsfnet_env.paths.paths_for(state.pending.src, state.pending.dst))
+                n = len(nsfnet_env.paths.entries[(state.pending.src, state.pending.dst)])
                 return int(rng.integers(n))
             return run_episode(policy, nsfnet_env, seed)[0]
 
@@ -322,7 +322,7 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
 
         def policy(state):
-            n = len(config.paths.paths_for(state.pending.src, state.pending.dst))
+            n = len(config.paths.entries[(state.pending.src, state.pending.dst)])
             if policy_kind == 0:
                 return 0
             if policy_kind == 1:

@@ -10,7 +10,6 @@ from esotn.config import build_env_configs, load_run_config
 from esotn.env import run_episode
 from esotn.es import (
     ESConfig,
-    MutationRecord,
     ProtocolError,
     compute_update,
     derive_perturbation,
@@ -216,8 +215,7 @@ class TestComputeUpdate:
         config = toy_config(num_mutations=1, mirrored=False, alpha=0.2, sigma=0.5)
         manifest = vector_manifest(6)
         seed, sign = mutation_seed_sign(config, 0, 0)
-        records = [MutationRecord(0, 0, seed, sign, 1.0)]
-        delta = compute_update(records, np.array([1.0]), config, manifest)
+        delta = compute_update(np.array([1.0]), config, 0, manifest)
         epsilon = derive_perturbation(manifest, seed, sign)
         assert np.array_equal(delta, 0.2 / 0.5 * epsilon)
 
@@ -228,12 +226,8 @@ class TestComputeUpdate:
         config = toy_config(num_mutations=2, mirrored=True, alpha=0.1, sigma=0.2)
         manifest = vector_manifest(5)
         seed, _ = mutation_seed_sign(config, 1, 0)
-        records = [
-            MutationRecord(1, 0, seed, 1, 4.0),
-            MutationRecord(1, 1, seed, -1, 4.0),
-        ]
         shaped = shape_fitness(np.array([4.0, 4.0]))
-        delta = compute_update(records, shaped, config, manifest)
+        delta = compute_update(shaped, config, 1, manifest)
         epsilon = derive_perturbation(manifest, seed, 1)
         expected = (0.1 / (2 * 0.2)) * (0.5 * epsilon + (-0.5) * -epsilon)
         assert delta == pytest.approx(expected)
@@ -241,28 +235,14 @@ class TestComputeUpdate:
     def test_zero_utilities_zero_update(self):
         config = toy_config(num_mutations=4)
         manifest = vector_manifest(3)
-        records = [
-            MutationRecord(0, j, *mutation_seed_sign(config, 0, j), 1.0) for j in range(4)
-        ]
-        delta = compute_update(records, np.zeros(4), config, manifest)
+        delta = compute_update(np.zeros(4), config, 0, manifest)
         assert np.array_equal(delta, np.zeros(3))
 
-    def test_missing_record_is_protocol_error(self):
+    def test_wrong_length_utilities_is_protocol_error(self):
         config = toy_config(num_mutations=4)
         manifest = vector_manifest(3)
-        records = [
-            MutationRecord(0, j, *mutation_seed_sign(config, 0, j), 1.0) for j in range(3)
-        ]
-        with pytest.raises(ProtocolError, match="4 records"):
-            compute_update(records, np.zeros(4), config, manifest)
-
-    def test_duplicate_record_is_protocol_error(self):
-        config = toy_config(num_mutations=2)
-        manifest = vector_manifest(3)
-        seed, sign = mutation_seed_sign(config, 0, 0)
-        records = [MutationRecord(0, 0, seed, sign, 1.0)] * 2
-        with pytest.raises(ProtocolError, match="do not cover"):
-            compute_update(records, np.zeros(2), config, manifest)
+        with pytest.raises(ProtocolError, match="4 utilities"):
+            compute_update(np.zeros(3), config, 0, manifest)
 
     def test_update_invariant_under_monotone_return_transform(self):
         # End to end: doubling all raw returns must leave the update vector
@@ -271,11 +251,8 @@ class TestComputeUpdate:
         manifest = vector_manifest(10)
         rng = rng_from_key(derive_key(8))
         raw = rng.normal(size=8)
-        records = [
-            MutationRecord(2, j, *mutation_seed_sign(config, 2, j), raw[j]) for j in range(8)
-        ]
-        delta_a = compute_update(records, shape_fitness(raw), config, manifest)
-        delta_b = compute_update(records, shape_fitness(raw * 2.0), config, manifest)
+        delta_a = compute_update(shape_fitness(raw), config, 2, manifest)
+        delta_b = compute_update(shape_fitness(raw * 2.0), config, 2, manifest)
         assert np.array_equal(delta_a, delta_b)
 
 
@@ -321,7 +298,7 @@ class TestEvaluateMutation:
         def epsilon_greedy_agent(episode_seed):
             rng = rng_from_key(derive_key(TAG_ACTION, episode_seed))
             def act(state):
-                n = len(triangle_env.paths.paths_for(state.pending.src, state.pending.dst))
+                n = len(triangle_env.paths.entries[(state.pending.src, state.pending.dst)])
                 mixture = np.full(n, eps / n)
                 mixture[0] += 1.0 - eps
                 cdf = np.cumsum(mixture)
@@ -340,8 +317,8 @@ class TestEvaluateMutation:
         theta = init_params(policy_config, 0)
         # sabotage: an empty env list makes every evaluation raise
         evaluator = make_fitness_evaluator([], policy_config)
-        (record,) = evaluate_assignment(theta, config, 0, [0], evaluator)
-        assert math.isnan(record.raw_return)
+        (raw,) = evaluate_assignment(theta, config, 0, [0], evaluator)
+        assert math.isnan(raw)
 
 
 class TestFitnessEvaluator:
@@ -392,10 +369,11 @@ class TestEvaluateAssignment:
     def test_records_carry_shared_seeds_and_signs(self):
         config = toy_config(num_mutations=4)
         theta = vector_params(np.zeros(6))
-        records = evaluate_assignment(theta, config, 7, range(4), lambda p, s: 1.0)
-        assert [r.index for r in records] == [0, 1, 2, 3]
-        assert records[0].seed == records[1].seed
-        assert records[0].sign == 1 and records[1].sign == -1
+        raws = evaluate_assignment(theta, config, 7, range(4), lambda p, s: 1.0)
+        assert raws == [1.0, 1.0, 1.0, 1.0]
+        (seed0, sign0), (seed1, sign1) = (mutation_seed_sign(config, 7, j) for j in range(2))
+        assert seed0 == seed1
+        assert sign0 == 1 and sign1 == -1
 
     def test_evaluator_exception_scored_as_nan(self):
         config = toy_config(num_mutations=2)
@@ -406,8 +384,7 @@ class TestEvaluateAssignment:
                 raise RuntimeError("boom")
             return 1.0
 
-        records = evaluate_assignment(theta, config, 0, range(2), flaky)
-        raws = [r.raw_return for r in records]
+        raws = evaluate_assignment(theta, config, 0, range(2), flaky)
         assert sum(math.isnan(r) for r in raws) >= 1
 
     @pytest.mark.parametrize("mirrored, indices, derivations", [
@@ -427,7 +404,7 @@ class TestEvaluateAssignment:
         for j in indices:
             seed, sign = mutation_seed_sign(config, 3, j)
             candidate = mutate(theta, derive_perturbation(theta.manifest, seed, sign), config.sigma)
-            expected.append(MutationRecord(3, j, seed, sign, evaluator(candidate, episode_seeds(config, 3))))
+            expected.append(evaluator(candidate, episode_seeds(config, 3)))
 
         calls = []
 
@@ -436,9 +413,9 @@ class TestEvaluateAssignment:
             return derive_perturbation(manifest, seed, sign)
 
         monkeypatch.setattr("esotn.es.derive_perturbation", counting)
-        records = evaluate_assignment(theta, config, 3, indices, evaluator)
+        raws = evaluate_assignment(theta, config, 3, indices, evaluator)
         assert len(calls) == derivations
-        assert records == expected
+        assert raws == expected
 
 
 def run_sequential(theta, config, fitness, on_iteration=None):
@@ -460,7 +437,7 @@ class TestTrainIteration:
         config = toy_config(num_mutations=4, iterations=1)
         theta = vector_params(np.zeros(3))
         new_theta, run = run_sequential(theta, config, lambda p, s: float(p.values[0]))
-        (stats,) = run.iterations
+        (stats,) = run
         assert stats.t == 0
         assert stats.worst_return <= stats.mean_return <= stats.best_return
         assert stats.eval_seconds >= 0
@@ -509,10 +486,9 @@ class TestTrainIteration:
         g /= np.linalg.norm(g)
         config = toy_config(num_mutations=8, global_seed=9)
         theta = vector_params(np.zeros(dim))
-        records = evaluate_assignment(
-            theta, config, 0, range(8), lambda p, s: float(g @ p.values)
+        raw = np.array(
+            evaluate_assignment(theta, config, 0, range(8), lambda p, s: float(g @ p.values))
         )
-        raw = np.array([r.raw_return for r in records])
         order = np.argsort(-raw)
         ranks = np.empty(8, dtype=int)
         ranks[order] = np.arange(1, 9)
@@ -535,9 +511,8 @@ class TestTrainIteration:
             config = toy_config(num_mutations=8, mirrored=mirrored, global_seed=seed)
             out = np.empty((trials, dim))
             for t in range(trials):
-                records = evaluate_assignment(theta, config, t, range(8), fitness)
-                raw = np.array([r.raw_return for r in records])
-                out[t] = compute_update(records, raw, config, theta.manifest)
+                raw = np.array(evaluate_assignment(theta, config, t, range(8), fitness))
+                out[t] = compute_update(raw, config, t, theta.manifest)
             return out
 
         trials = 10_000

@@ -8,7 +8,9 @@ make those spans read 0 without any error, so this file pins all three.
 """
 
 import inspect
+import math
 
+import numpy as np
 import pytest
 
 import esotn.env
@@ -18,8 +20,16 @@ import esotn.runtime
 import esotn.wire
 from esotn.cli import main
 from esotn.env import EnvConfig
-from esotn.es import make_fitness_evaluator
-from esotn.policy import PolicyConfig, init_params
+from esotn.es import (
+    derive_perturbation,
+    episode_seeds,
+    make_fitness_evaluator,
+    mutate,
+    mutation_seed_sign,
+    toy_config,
+)
+from esotn.policy import ParamManifest, PolicyConfig, PolicyParams, init_params
+from esotn.runtime import TrainingSetup, run_inproc
 from esotn.topology import compute_candidate_paths, load_bundled_topology
 
 PATCHED = [
@@ -139,3 +149,38 @@ def test_eval_resolves_agent_and_forward_through_module_globals(monkeypatch, cap
     assert calls["make_agent"] == 3
     assert calls["step"] > 20
     assert calls["forward"] == calls["step"]
+
+
+def test_resolve_failures_sees_each_iterations_returns_once(monkeypatch):
+    # perfbench counts attempted and failed mutations from the argument of
+    # ``esotn.runtime.resolve_failures``: one call per iteration, with all k
+    # raw returns by mutation index and NaN exactly where a mutation failed.
+    es = toy_config(num_mutations=8, iterations=3)
+    failing = {1, 4, 6}  # in both workers' slices
+    theta0 = PolicyParams(manifest=ParamManifest(tensors=(("theta", (4,)),)), values=np.zeros(4))
+    thetas = [theta0]
+    iteration_of = {tuple(episode_seeds(es, t)): t for t in range(es.iterations)}
+
+    def evaluator(params, seeds):
+        t = iteration_of[tuple(seeds)]
+        for j in failing:
+            epsilon = derive_perturbation(params.manifest, *mutation_seed_sign(es, t, j))
+            if np.array_equal(params.values, mutate(thetas[t], epsilon, es.sigma).values):
+                raise RuntimeError(f"mutation {j} fails")
+        return -float(np.sum(params.values**2))
+
+    calls = []
+    resolve_failures = esotn.runtime.resolve_failures
+
+    def recording(raw_returns, config):
+        calls.append([math.isnan(r) for r in raw_returns])
+        return resolve_failures(raw_returns, config)
+
+    monkeypatch.setattr(esotn.runtime, "resolve_failures", recording)
+    setup = TrainingSetup(es=es, manifest=theta0.manifest, evaluator=evaluator)
+    run_inproc(setup, theta0, 2, lambda it, theta: thetas.append(theta))
+
+    assert len(calls) == es.iterations
+    for failed in calls:
+        assert len(failed) == es.num_mutations
+        assert {j for j, nan in enumerate(failed) if nan} == failing

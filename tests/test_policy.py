@@ -83,14 +83,14 @@ class TestInitParams:
         params = init_params(PolicyConfig(hidden_dim=8, message_passing_steps=2), 5)
         for name, shape in params.manifest.tensors:
             if len(shape) == 1:
-                assert np.all(params.tensor(name) == 0.0), name
+                assert np.all(params.views[name] == 0.0), name
             else:
-                assert np.any(params.tensor(name) != 0.0), name
+                assert np.any(params.views[name] != 0.0), name
 
     def test_tensor_is_a_view_of_values(self):
         params = init_params(PolicyConfig(hidden_dim=8, message_passing_steps=2), 5)
         for name, (start, stop, shape) in params.manifest.slots.items():
-            tensor = params.tensor(name)
+            tensor = params.views[name]
             assert tensor.shape == shape
             assert np.shares_memory(tensor, params.values), name
             assert tensor.tobytes() == params.values[start:stop].tobytes(), name
@@ -101,7 +101,7 @@ class TestInitParams:
             if len(shape) != 2:
                 continue
             limit = np.sqrt(6.0 / sum(shape))
-            tensor = params.tensor(name)
+            tensor = params.views[name]
             assert np.all(np.abs(tensor) <= limit), name
 
 
@@ -208,27 +208,26 @@ def einsum_forward(params, ctx, state, candidates):
     on_path = np.zeros((len(candidates), ctx.capacities.shape[0]))
     for i, links in enumerate(candidates):
         on_path[i, links] = 1.0
-    w_in = params.tensor("link_embed.w")
+    w_in = params.views["link_embed.w"]
     base = (
         np.outer(state.residual / ctx.capacities, w_in[0])
         + np.outer(ctx.capacities / ctx.max_capacity, w_in[1])
-        + params.tensor("link_embed.b")
+        + params.views["link_embed.b"]
     )
     hidden = np.tanh(base[None, :, :] + on_path[:, :, None] * w_in[2])
     steps = sum(1 for name, _ in params.manifest.tensors if name.startswith("message.")) // 2
     for step in range(steps):
         agg = np.einsum("lm,cmh->clh", ctx.link_adjacency, hidden)
         hidden = np.tanh(
-            agg @ params.tensor(f"message.{step}.w") + params.tensor(f"message.{step}.b")
+            agg @ params.views[f"message.{step}.w"] + params.views[f"message.{step}.b"]
         )
     path_repr = np.einsum("cl,clh->ch", on_path, hidden)
     load = state.pending.bandwidth / ctx.max_bandwidth
     demand_emb = np.tanh(
-        load * params.tensor("demand_embed.w")[0] + params.tensor("demand_embed.b")
+        load * params.views["demand_embed.w"][0] + params.views["demand_embed.b"]
     )
-    scores = np.tanh(path_repr + demand_emb) @ params.tensor("readout.w")[:, 0] + params.tensor(
-        "readout.b"
-    )[0]
+    readout_w, readout_b = params.views["readout.w"], params.views["readout.b"]
+    scores = np.tanh(path_repr + demand_emb) @ readout_w[:, 0] + readout_b[0]
     exp = np.exp(scores - scores.max())
     return exp / exp.sum()
 
@@ -499,7 +498,7 @@ class TestAgent:
                            diamond_env, 5, PolicyContext.for_env(diamond_env))
         state = fresh_state(diamond_env, 5)
         action = agent(state)
-        candidates = diamond_env.paths.paths_for(state.pending.src, state.pending.dst)
+        candidates = diamond_env.paths.entries[(state.pending.src, state.pending.dst)]
         assert 0 <= action < len(candidates)
 
     @pytest.mark.parametrize("deterministic", [True, False], ids=["argmax", "epsilon_greedy"])

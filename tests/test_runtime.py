@@ -89,7 +89,7 @@ def quadratic_setup(dim=6, **config_overrides):
 
 class TestPartition:
     def test_balanced_non_mirrored(self):
-        sizes = [a.size for a in partition_mutations(10, 4)]
+        sizes = [len(a.indices) for a in partition_mutations(10, 4)]
         assert sizes == [3, 3, 2, 2]
 
     def test_contiguous_cover(self):
@@ -99,9 +99,9 @@ class TestPartition:
 
     def test_mirrored_pair_aligned(self):
         assignments = partition_mutations(8, 2, mirrored=True)
-        assert [a.size for a in assignments] == [4, 4]
+        assert [len(a.indices) for a in assignments] == [4, 4]
         for a in assignments:
-            assert a.start % 2 == 0 and a.size % 2 == 0
+            assert a.start % 2 == 0 and len(a.indices) % 2 == 0
 
     def test_single_worker(self):
         (only,) = partition_mutations(7, 1)
@@ -127,7 +127,7 @@ class TestPartition:
         assignments = partition_mutations(k, n, mirrored)
         covered = [j for a in assignments for j in a.indices]
         assert covered == list(range(k)), "disjoint and covering, in order"
-        sizes = [a.size for a in assignments]
+        sizes = [len(a.indices) for a in assignments]
         assert max(sizes) - min(sizes) <= (2 if mirrored else 1)
         if mirrored:
             assert all(size % 2 == 0 for size in sizes)
@@ -140,12 +140,12 @@ class TestCoordinatorSingle:
         final, stats = run_coordinator(setup, theta0, [])
         es, theta = setup.es, theta0
         for t in range(es.iterations):
-            records = evaluate_assignment(theta, es, t, range(es.num_mutations), setup.evaluator)
-            returns = resolve_failures(np.array([r.raw_return for r in records]), es)
-            delta = compute_update(records, shape_fitness(returns, es.shaping), es, setup.manifest)
+            raws = evaluate_assignment(theta, es, t, range(es.num_mutations), setup.evaluator)
+            returns = resolve_failures(np.array(raws), es)
+            delta = compute_update(shape_fitness(returns, es.shaping), es, t, setup.manifest)
             theta = PolicyParams(manifest=setup.manifest, values=theta.values + delta)
         assert np.array_equal(final.values, theta.values)
-        assert len(stats.iterations) == setup.es.iterations
+        assert len(stats) == setup.es.iterations
 
     def test_deterministic(self):
         setup, theta0 = quadratic_setup()
@@ -160,9 +160,7 @@ class TestInproc:
         solo, solo_stats = run_coordinator(setup, theta0, [])
         inproc, inproc_stats = run_inproc(setup, theta0, 1)
         assert np.array_equal(solo.values, inproc.values)
-        assert [it.mean_return for it in inproc_stats.iterations] == [
-            it.mean_return for it in solo_stats.iterations
-        ]
+        assert [it.mean_return for it in inproc_stats] == [it.mean_return for it in solo_stats]
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_worker_count_invariance(self, n):
@@ -433,6 +431,26 @@ class TestServeWorkers:
             with pytest.raises(WorkerTimeoutError, match="only 0 of 1 workers connected"):
                 serve_workers(2, spawn, accept_timeout=0.5)
             assert time.monotonic() - start < 5.0
+            assert spawned[0].poll() is not None
+        finally:
+            for process in spawned:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+
+    def test_spawn_failure_reaps_started_workers_and_propagates(self):
+        spawned = []
+
+        def spawn(endpoint):  # the first worker starts, the second cannot
+            if spawned:
+                raise OSError("cannot start worker")
+            process = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(20)"])
+            spawned.append(process)
+            return process
+
+        try:
+            with pytest.raises(OSError, match="cannot start worker"):
+                serve_workers(3, spawn, accept_timeout=5.0)
             assert spawned[0].poll() is not None
         finally:
             for process in spawned:

@@ -104,7 +104,7 @@ class TestCandidatePaths:
         table = compute_candidate_paths(triangle, 2)
         # direct link first (1 hop), then the two-hop alternative
         direct = next(i for i, (a, b, _) in enumerate(triangle.links) if {a, b} == {0, 2})
-        paths = table.paths_for(0, 2)
+        paths = table.entries[(0, 2)]
         assert paths[0] == (direct,)
         assert len(paths) == 2
         assert len(paths[1]) == 2
@@ -112,7 +112,7 @@ class TestCandidatePaths:
     def test_path_graph_single_route(self):
         topo = make_topology(3, [(0, 1, 5.0), (1, 2, 5.0)])
         table = compute_candidate_paths(topo, 4)
-        assert table.paths_for(0, 2) == ((0, 1),)
+        assert table.entries[(0, 2)] == ((0, 1),)
 
     def test_nsfnet_every_pair_has_k_paths(self):
         topo = load_bundled_topology("nsfnet")
@@ -261,6 +261,6 @@ def test_k_shortest_sorted_by_hops_then_lex(src, dst, k):
     topo = load_bundled_topology("nsfnet")
     if src == dst:
         return
-    paths = compute_candidate_paths(topo, k).paths_for(src, dst)
+    paths = compute_candidate_paths(topo, k).entries[(src, dst)]
     keys = [(len(p), p) for p in paths]
     assert keys == sorted(keys)
