@@ -29,7 +29,7 @@ from .config import (
     write_config_echo,
 )
 from .env import write_episode_trace
-from .es import IterationStats, ProtocolError, make_rollout
+from .es import EvaluationError, IterationStats, ProtocolError, make_rollout
 from .policy import PolicyParams, build_manifest
 from .runtime import (
     ConfigurationError,
@@ -59,6 +59,7 @@ _KNOWN_ERRORS = (
     ConfigError,
     ConfigurationError,
     CheckpointError,
+    EvaluationError,
     ProtocolError,
     TopologyError,
     WorkerTimeoutError,

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .es import ESConfig, make_fitness_evaluator
 from .env import EnvConfig
-from .policy import PolicyConfig, PolicyParams, build_manifest, init_params
+from .policy import PolicyConfig, PolicyParams, init_params
 from .runtime import DEFAULT_ITER_TIMEOUT, TrainingSetup, partition_mutations
 from .topology import (
     Topology,
@@ -247,7 +247,6 @@ def build_training_setup(config: RunConfig) -> tuple[TrainingSetup, PolicyParams
     env_configs = build_env_configs(config)
     setup = TrainingSetup(
         es=config.es,
-        manifest=build_manifest(config.policy),
         evaluator=make_fitness_evaluator(env_configs, config.policy),
         iter_timeout=config.iter_timeout_secs,
     )

@@ -40,6 +40,10 @@ class ProtocolError(RuntimeError):
     inconsistent."""
 
 
+class EvaluationError(RuntimeError):
+    """Every mutation of an iteration failed, so there is nothing to rank."""
+
+
 @dataclass(frozen=True)
 class ESConfig:
     alpha: float = 0.25
@@ -55,8 +59,10 @@ class ESConfig:
     def __post_init__(self) -> None:
         if self.alpha <= 0 or self.sigma <= 0:
             raise ValueError("alpha and sigma must be positive")
-        if self.num_mutations < 1:
-            raise ValueError("num_mutations must be positive")
+        if self.num_mutations < 2:
+            raise ValueError(
+                f"fitness shaping needs at least two mutations, got {self.num_mutations}"
+            )
         if self.mirrored and self.num_mutations % 2:
             raise ValueError(
                 f"mirrored sampling needs an even mutation count, got {self.num_mutations}"
@@ -199,16 +205,18 @@ def resolve_failures(raw_returns: np.ndarray, config: ESConfig) -> np.ndarray:
     """Replace NaN failure sentinels with the configured failure fitness.
 
     The default ranks failed mutations strictly last (worst finite return
-    minus one) without distorting the utilities of the survivors.
+    minus one) without distorting the utilities of the survivors. If every
+    mutation failed, any update would depend only on the mutation indices,
+    so this raises ``EvaluationError`` instead.
     """
     out = np.asarray(raw_returns, dtype=np.float64).copy()
     failed = np.isnan(out)
     if not failed.any():
         return out
+    if failed.all():
+        raise EvaluationError(f"all {out.size} mutations failed; see the evaluator errors logged")
     if config.failure_fitness is not None:
         out[failed] = config.failure_fitness
-    elif failed.all():
-        out[:] = 0.0
     else:
         out[failed] = out[~failed].min() - 1.0
     return out

@@ -3,10 +3,10 @@
 The coordinator doubles as worker 0: it evaluates its own mutation slice,
 gathers the other workers' returns, computes the parameter update, and
 broadcasts the delta. Workers re-derive their perturbations from the shared
-seed scheme, so only (index, return) pairs and the update vector ever cross
-the wire. Every message goes through the framed socket codec of ``wire``:
-in-process workers are threads on socket pairs, multi-process workers dial
-the coordinator over loopback TCP.
+seed scheme, so only the returns of each announced slice, in index order,
+and the update vector ever cross the wire. Every message goes through the
+framed socket codec of ``wire``: in-process workers are threads on socket
+pairs, multi-process workers dial the coordinator over loopback TCP.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .es import (
     shape_fitness,
     compute_update,
 )
-from .policy import ParamManifest, PolicyParams
+from .policy import PolicyParams
 from .wire import (
     IterationBegin,
     ReturnsReport,
@@ -38,7 +38,6 @@ from .wire import (
     SocketConnection,
     UpdateBroadcast,
     WireError,
-    WorkerAssignment,
 )
 
 log = logging.getLogger(__name__)
@@ -54,7 +53,7 @@ class WorkerTimeoutError(RuntimeError):
     """A worker failed to report within the iteration deadline."""
 
 
-def partition_mutations(k: int, n: int, mirrored: bool = False) -> list[WorkerAssignment]:
+def partition_mutations(k: int, n: int, mirrored: bool = False) -> list[range]:
     """Balanced contiguous partition of mutation indices 0..k-1 over n workers.
 
     Mirrored runs partition whole pairs so every worker's slice is
@@ -71,14 +70,9 @@ def partition_mutations(k: int, n: int, mirrored: bool = False) -> list[WorkerAs
             raise ConfigurationError(f"mirrored mutation count must be even, got {k}")
         if n > slots:
             raise ConfigurationError(f"{n} workers cannot share {slots} mirrored pairs")
-    base, extra = divmod(slots, n)
-    assignments = []
-    start = 0
-    for worker_id in range(n):
-        size = (base + (1 if worker_id < extra else 0)) * unit
-        assignments.append(WorkerAssignment(worker_id=worker_id, start=start, stop=start + size))
-        start += size
-    return assignments
+    base, extra = divmod(slots, n)  # the first ``extra`` workers take one more unit
+    bounds = [unit * (i * base + min(i, extra)) for i in range(n + 1)]
+    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,6 @@ class TrainingSetup:
     """Everything a participant needs to run its side of the protocol."""
 
     es: ESConfig
-    manifest: ParamManifest
     evaluator: Evaluator
     iter_timeout: float = DEFAULT_ITER_TIMEOUT
 
@@ -118,44 +111,46 @@ def run_coordinator(
     """Drive T lock-step iterations as worker 0 plus aggregator.
 
     ``connections`` carry workers 1..n-1 (empty for a single-worker run).
-    Every iteration is a barrier: no update is computed until all returns
-    for that iteration arrived, each written into the iteration's fitness
-    vector at its mutation index.
+    Every iteration is a barrier: no update is computed until every worker
+    reported its announced slice's returns, which fill that slice of the
+    iteration's fitness vector.
     """
     es = setup.es
     n = len(connections) + 1
     theta = theta0
     stats: list[IterationStats] = []
     try:
-        assignments = partition_mutations(es.num_mutations, n, es.mirrored)
+        slices = partition_mutations(es.num_mutations, n, es.mirrored)
         for t in range(es.iterations):
             wall_start = time.perf_counter()
             for worker_id in range(1, n):
-                connections[worker_id - 1].send(IterationBegin(t, assignments[worker_id]))
+                connections[worker_id - 1].send(IterationBegin(t, slices[worker_id]))
 
             own_start = time.perf_counter()
-            own = assignments[0]
+            own = slices[0]
             raw = np.full(es.num_mutations, np.nan)
-            raw[own.start:own.stop] = evaluate_assignment(
-                theta, es, t, own.indices, setup.evaluator
-            )
+            raw[own.start:own.stop] = evaluate_assignment(theta, es, t, own, setup.evaluator)
             eval_times = [time.perf_counter() - own_start]
 
             deadline = time.monotonic() + setup.iter_timeout
             for worker_id in range(1, n):
                 report = _await_report(connections[worker_id - 1], worker_id, t, deadline)
-                _check_report(report, assignments[worker_id], t)
+                s = slices[worker_id]
+                if report.t != t or len(report.returns) != len(s):
+                    raise ProtocolError(
+                        f"worker {worker_id} reported {len(report.returns)} returns for "
+                        f"iteration {report.t}; iteration {t} assigned it {len(s)}"
+                    )
                 eval_times.append(report.eval_seconds)
-                for j, value in report.returns:
-                    raw[j] = value
+                raw[s.start:s.stop] = report.returns
 
             update_start = time.perf_counter()
             returns = resolve_failures(raw, es)
             utilities = shape_fitness(returns, es.shaping)
-            delta = compute_update(utilities, es, t, setup.manifest)
+            delta = compute_update(utilities, es, t, theta.manifest)
             for conn in connections:
                 conn.send(UpdateBroadcast(t, delta))
-            theta = PolicyParams(manifest=setup.manifest, values=theta.values + delta)
+            theta = PolicyParams(manifest=theta.manifest, values=theta.values + delta)
             update_seconds = time.perf_counter() - update_start
 
             iteration = IterationStats(
@@ -200,23 +195,9 @@ def _await_report(connection, worker_id: int, t: int, deadline: float) -> Return
     return message
 
 
-def _check_report(report: ReturnsReport, assignment: WorkerAssignment, t: int) -> None:
-    if report.t != t:
-        raise ProtocolError(
-            f"worker {report.worker_id} reported iteration {report.t} during iteration {t}"
-        )
-    indices = [j for j, _ in report.returns]
-    if len(set(indices)) != len(indices):
-        raise ProtocolError(f"worker {report.worker_id} reported duplicate mutation indices")
-    if sorted(indices) != list(assignment.indices):
-        raise ProtocolError(
-            f"worker {report.worker_id} reported mutations {sorted(indices)}, "
-            f"assigned {list(assignment.indices)}"
-        )
-
-
 def run_worker(setup: TrainingSetup, theta0: PolicyParams, connection) -> int:
-    """Worker loop: evaluate assigned mutations, report, apply broadcast updates.
+    """Worker loop: evaluate the announced slice, report its returns in
+    index order, apply the broadcast update.
 
     Returns 0 on a clean shutdown. The lock-step protocol announces
     iterations in order, one per applied update, so any other ``t`` is fatal.
@@ -233,21 +214,13 @@ def run_worker(setup: TrainingSetup, theta0: PolicyParams, connection) -> int:
         if message.t != t:
             raise ProtocolError(f"coordinator announced iteration {message.t}, expected {t}")
         eval_start = time.perf_counter()
-        indices = message.assignment.indices
-        raws = evaluate_assignment(theta, es, t, indices, setup.evaluator)
+        raws = evaluate_assignment(theta, es, t, message.indices, setup.evaluator)
         eval_seconds = time.perf_counter() - eval_start
-        connection.send(
-            ReturnsReport(
-                t=t,
-                worker_id=message.assignment.worker_id,
-                returns=tuple(zip(indices, raws)),
-                eval_seconds=eval_seconds,
-            )
-        )
+        connection.send(ReturnsReport(t, tuple(raws), eval_seconds))
         update = connection.recv(timeout=None)
         if not isinstance(update, UpdateBroadcast) or update.t != t:
             raise ProtocolError(f"expected update for iteration {t}, got {update!r}")
-        theta = PolicyParams(manifest=setup.manifest, values=theta.values + update.delta)
+        theta = PolicyParams(manifest=theta.manifest, values=theta.values + update.delta)
         t += 1
 
 

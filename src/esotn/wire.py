@@ -2,8 +2,9 @@
 
 Frame layout: 4-byte little-endian payload length, 1-byte message tag,
 payload. Scalars are little-endian 64-bit (floats f8, integers i8); vectors
-are length-prefixed. Returns reports carry only (mutation index, return)
-pairs, so their size is independent of the parameter dimension.
+are length-prefixed. A returns report carries only the returns of the slice
+its iteration announced, in index order, so its size is independent of the
+parameter dimension.
 """
 
 from __future__ import annotations
@@ -27,29 +28,15 @@ class WireError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WorkerAssignment:
-    """A contiguous slice of the iteration's mutation indices."""
-
-    worker_id: int
-    start: int
-    stop: int
-
-    @property
-    def indices(self) -> range:
-        return range(self.start, self.stop)
-
-
-@dataclass(frozen=True)
 class IterationBegin:
     t: int
-    assignment: WorkerAssignment
+    indices: range  # the worker's contiguous slice of mutation indices
 
 
 @dataclass(frozen=True)
 class ReturnsReport:
     t: int
-    worker_id: int
-    returns: tuple[tuple[int, float], ...]
+    returns: tuple[float, ...]  # one per announced index, in order
     eval_seconds: float
 
 
@@ -74,19 +61,31 @@ class Shutdown:
 Message = IterationBegin | ReturnsReport | UpdateBroadcast | Shutdown
 
 
+def _pack_vector(values) -> bytes:
+    vector = np.ascontiguousarray(values, dtype="<f8")
+    return struct.pack("<Q", vector.shape[0]) + vector.tobytes()
+
+
+def _unpack_vector(payload: bytes, offset: int) -> np.ndarray:
+    """The length-prefixed f8 vector at ``offset``; it must end the payload."""
+    (length,) = struct.unpack_from("<Q", payload, offset)
+    offset += 8
+    if len(payload) != offset + 8 * length:
+        raise WireError(f"payload is {len(payload)} bytes, expected {offset + 8 * length}")
+    return np.frombuffer(payload, dtype="<f8", count=length, offset=offset).astype(np.float64)
+
+
 def encode_message(message: Message) -> bytes:
     if isinstance(message, IterationBegin):
-        a = message.assignment
-        payload = struct.pack("<4q", message.t, a.worker_id, a.start, a.stop)
+        indices = message.indices
+        payload = struct.pack("<3q", message.t, indices.start, indices.stop)
         tag = TAG_ITERATION_BEGIN
     elif isinstance(message, ReturnsReport):
-        payload = struct.pack("<2qdQ", message.t, message.worker_id,
-                              message.eval_seconds, len(message.returns))
-        payload += b"".join(struct.pack("<qd", j, r) for j, r in message.returns)
+        payload = struct.pack("<qd", message.t, message.eval_seconds)
+        payload += _pack_vector(message.returns)
         tag = TAG_RETURNS_REPORT
     elif isinstance(message, UpdateBroadcast):
-        vector = np.ascontiguousarray(message.delta, dtype="<f8")
-        payload = struct.pack("<qQ", message.t, vector.shape[0]) + vector.tobytes()
+        payload = struct.pack("<q", message.t) + _pack_vector(message.delta)
         tag = TAG_UPDATE_BROADCAST
     elif isinstance(message, Shutdown):
         payload = b""
@@ -99,26 +98,14 @@ def encode_message(message: Message) -> bytes:
 def decode_payload(tag: int, payload: bytes) -> Message:
     try:
         if tag == TAG_ITERATION_BEGIN:
-            t, worker_id, start, stop = struct.unpack("<4q", payload)
-            return IterationBegin(t, WorkerAssignment(worker_id, start, stop))
+            t, start, stop = struct.unpack("<3q", payload)
+            return IterationBegin(t, range(start, stop))
         if tag == TAG_RETURNS_REPORT:
-            t, worker_id, eval_seconds, count = struct.unpack_from("<2qdQ", payload)
-            offset = struct.calcsize("<2qdQ")
-            expected = offset + count * struct.calcsize("<qd")
-            if len(payload) != expected:
-                raise WireError(f"returns report payload is {len(payload)} bytes, expected {expected}")
-            pairs = tuple(
-                (int(j), float(r))
-                for j, r in struct.iter_unpack("<qd", payload[offset:])
-            )
-            return ReturnsReport(t, worker_id, pairs, eval_seconds)
+            t, eval_seconds = struct.unpack_from("<qd", payload)
+            return ReturnsReport(t, tuple(_unpack_vector(payload, 16).tolist()), eval_seconds)
         if tag == TAG_UPDATE_BROADCAST:
-            t, length = struct.unpack_from("<qQ", payload)
-            offset = struct.calcsize("<qQ")
-            if len(payload) != offset + 8 * length:
-                raise WireError("update broadcast payload length mismatch")
-            delta = np.frombuffer(payload, dtype="<f8", count=length, offset=offset).astype(np.float64)
-            return UpdateBroadcast(t, delta)
+            (t,) = struct.unpack_from("<q", payload)
+            return UpdateBroadcast(t, _unpack_vector(payload, 8))
         if tag == TAG_SHUTDOWN:
             if payload:
                 raise WireError("shutdown carries no payload")

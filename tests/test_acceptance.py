@@ -219,7 +219,7 @@ class TestCriterion5ToyConvergence:
                 used = stats.t + 1
                 distance = float(np.linalg.norm(current.values - target))
 
-        setup = TrainingSetup(es=config, manifest=manifest, evaluator=fitness)
+        setup = TrainingSetup(es=config, evaluator=fitness)
         run_coordinator(setup, theta, [], on_iteration)
         report(
             "toy_convergence",
@@ -344,18 +344,14 @@ class TestCriterion7InvariantSuites:
         # partition coverage and disjointness
         ok_partition = True
         for k, n, mirrored in [(64, 8, True), (10, 4, False), (7, 7, False), (12, 3, True)]:
-            assignments = partition_mutations(k, n, mirrored)
-            covered = [j for a in assignments for j in a.indices]
+            covered = [j for s in partition_mutations(k, n, mirrored) for j in s]
             ok_partition &= covered == list(range(k))
         check("partition_cover_disjoint", ok_partition)
 
         # returns-report payload size independent of parameter dimension
         size_of = lambda: len(
             encode_message(
-                ReturnsReport(
-                    t=0, worker_id=0,
-                    returns=tuple((j, 1.0) for j in range(8)), eval_seconds=0.0,
-                )
+                ReturnsReport(t=0, returns=(1.0,) * 8, eval_seconds=0.0)
             )
         )
         small_dim_size = size_of()

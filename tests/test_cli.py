@@ -332,6 +332,37 @@ def test_worker_layout_checked_before_any_run(
     assert not (out / "config.echo.n1.cfg").exists() and not out.exists()
 
 
+def test_single_mutation_rejected_before_any_run(triangle_cfg, capsys, monkeypatch):
+    # Fitness shaping ranks at least two returns; one mutation must fail at
+    # config time, not after an iteration's evaluations.
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a mutation was evaluated")
+
+    monkeypatch.setattr("esotn.runtime.evaluate_assignment", no_evaluation)
+    cfg_path, tmp_path = triangle_cfg
+    out = tmp_path / "one_mutation_out"
+    argv = ["train", "--config", str(cfg_path), "--set", "es.mirrored=false",
+            "--mutations", "1", "--iterations", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least two mutations, got 1" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_all_mutations_failed_stops_the_run(triangle_cfg, capsys, monkeypatch):
+    def broken_episode(*args, **kwargs):
+        raise RuntimeError("simulator down")
+
+    monkeypatch.setattr("esotn.es.run_episode", broken_episode)
+    cfg_path, tmp_path = triangle_cfg
+    out = tmp_path / "failed_out"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last == "error: all 4 mutations failed; see the evaluator errors logged"
+    assert not list(out.glob("ckpt_*"))
+
+
 class TestMixedTopologies:
     def test_one_agent_trains_across_two_topologies(self, tmp_path):
         cfg = tmp_path / "mixed.cfg"

@@ -216,7 +216,7 @@ class TestBuilders:
         setup_a, theta_a = build_training_setup(config)
         setup_b, theta_b = build_training_setup(config)
         assert (theta_a.values == theta_b.values).all()
-        assert setup_a.manifest == setup_b.manifest
+        assert theta_a.manifest == theta_b.manifest
         # evaluator agreement on an arbitrary evaluation
         seeds = [7, 8]
         assert setup_a.evaluator(theta_a, seeds) == setup_b.evaluator(theta_b, seeds)

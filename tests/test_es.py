@@ -10,6 +10,7 @@ from esotn.config import build_env_configs, load_run_config
 from esotn.env import run_episode
 from esotn.es import (
     ESConfig,
+    EvaluationError,
     ProtocolError,
     compute_update,
     derive_perturbation,
@@ -58,6 +59,10 @@ class TestConfigValidation:
     def test_unknown_shaping(self):
         with pytest.raises(ValueError, match="shaping"):
             ESConfig(shaping="softmax")
+
+    def test_at_least_two_mutations(self):
+        with pytest.raises(ValueError, match="at least two mutations, got 1"):
+            ESConfig(num_mutations=1, mirrored=False)
 
 
 class TestDerivePerturbation:
@@ -203,21 +208,24 @@ class TestResolveFailures:
         out = resolve_failures(np.array([3.0, math.nan]), config)
         assert out.tolist() == [3.0, -100.0]
 
-    def test_all_failed_fall_back_to_zero(self):
-        config = toy_config()
-        out = resolve_failures(np.array([math.nan, math.nan]), config)
-        assert out.tolist() == [0.0, 0.0]
+    @pytest.mark.parametrize("failure_fitness", [None, -100.0])
+    def test_all_failed_stops_the_run(self, failure_fitness):
+        # Ranking k failures would give an update that depends only on the
+        # mutation indices.
+        config = toy_config(failure_fitness=failure_fitness)
+        with pytest.raises(EvaluationError, match="all 3 mutations failed"):
+            resolve_failures(np.full(3, math.nan), config)
 
 
 class TestComputeUpdate:
     def test_single_term_formula(self):
-        # k=1 non-mirrored: delta = alpha / (k sigma) * u * epsilon
-        config = toy_config(num_mutations=1, mirrored=False, alpha=0.2, sigma=0.5)
+        # k=2 non-mirrored, u = [1, 0]: delta = alpha / (k sigma) * epsilon_0
+        config = toy_config(num_mutations=2, mirrored=False, alpha=0.2, sigma=0.5)
         manifest = vector_manifest(6)
         seed, sign = mutation_seed_sign(config, 0, 0)
-        delta = compute_update(np.array([1.0]), config, 0, manifest)
+        delta = compute_update(np.array([1.0, 0.0]), config, 0, manifest)
         epsilon = derive_perturbation(manifest, seed, sign)
-        assert np.array_equal(delta, 0.2 / 0.5 * epsilon)
+        assert np.array_equal(delta, 0.2 / (2 * 0.5) * epsilon)
 
     def test_mirrored_pair_with_equal_returns(self):
         # Oracle: the pair contributes (u+ - u-) * epsilon; with equal
@@ -420,7 +428,7 @@ class TestEvaluateAssignment:
 
 def run_sequential(theta, config, fitness, on_iteration=None):
     """Train on one worker; returns the final parameters and the stats."""
-    setup = TrainingSetup(es=config, manifest=theta.manifest, evaluator=fitness)
+    setup = TrainingSetup(es=config, evaluator=fitness)
     return run_coordinator(setup, theta, [], on_iteration)
 
 

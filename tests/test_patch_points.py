@@ -177,7 +177,7 @@ def test_resolve_failures_sees_each_iterations_returns_once(monkeypatch):
         return resolve_failures(raw_returns, config)
 
     monkeypatch.setattr(esotn.runtime, "resolve_failures", recording)
-    setup = TrainingSetup(es=es, manifest=theta0.manifest, evaluator=evaluator)
+    setup = TrainingSetup(es=es, evaluator=evaluator)
     run_inproc(setup, theta0, 2, lambda it, theta: thetas.append(theta))
 
     assert len(calls) == es.iterations

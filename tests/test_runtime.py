@@ -35,7 +35,6 @@ from esotn.wire import (
     Shutdown,
     SocketConnection,
     UpdateBroadcast,
-    WorkerAssignment,
 )
 
 
@@ -80,7 +79,6 @@ def quadratic_setup(dim=6, **config_overrides):
     config = toy_config(num_mutations=8, iterations=5, **config_overrides)
     setup = TrainingSetup(
         es=config,
-        manifest=ParamManifest(tensors=(("theta", (dim,)),)),
         evaluator=lambda p, s: -float(np.sum((p.values - target) ** 2)),
         iter_timeout=30.0,
     )
@@ -89,19 +87,18 @@ def quadratic_setup(dim=6, **config_overrides):
 
 class TestPartition:
     def test_balanced_non_mirrored(self):
-        sizes = [len(a.indices) for a in partition_mutations(10, 4)]
+        sizes = [len(s) for s in partition_mutations(10, 4)]
         assert sizes == [3, 3, 2, 2]
 
     def test_contiguous_cover(self):
-        assignments = partition_mutations(10, 4)
-        covered = [j for a in assignments for j in a.indices]
+        covered = [j for s in partition_mutations(10, 4) for j in s]
         assert covered == list(range(10))
 
     def test_mirrored_pair_aligned(self):
-        assignments = partition_mutations(8, 2, mirrored=True)
-        assert [len(a.indices) for a in assignments] == [4, 4]
-        for a in assignments:
-            assert a.start % 2 == 0 and len(a.indices) % 2 == 0
+        slices = partition_mutations(8, 2, mirrored=True)
+        assert [len(s) for s in slices] == [4, 4]
+        for s in slices:
+            assert s.start % 2 == 0 and len(s) % 2 == 0
 
     def test_single_worker(self):
         (only,) = partition_mutations(7, 1)
@@ -124,14 +121,14 @@ class TestPartition:
                 n = k // 2
         elif n > k:
             n = k
-        assignments = partition_mutations(k, n, mirrored)
-        covered = [j for a in assignments for j in a.indices]
+        slices = partition_mutations(k, n, mirrored)
+        assert len(slices) == n
+        covered = [j for s in slices for j in s]
         assert covered == list(range(k)), "disjoint and covering, in order"
-        sizes = [len(a.indices) for a in assignments]
+        sizes = [len(s) for s in slices]
         assert max(sizes) - min(sizes) <= (2 if mirrored else 1)
         if mirrored:
             assert all(size % 2 == 0 for size in sizes)
-        assert [a.worker_id for a in assignments] == list(range(n))
 
 
 class TestCoordinatorSingle:
@@ -142,8 +139,8 @@ class TestCoordinatorSingle:
         for t in range(es.iterations):
             raws = evaluate_assignment(theta, es, t, range(es.num_mutations), setup.evaluator)
             returns = resolve_failures(np.array(raws), es)
-            delta = compute_update(shape_fitness(returns, es.shaping), es, t, setup.manifest)
-            theta = PolicyParams(manifest=setup.manifest, values=theta.values + delta)
+            delta = compute_update(shape_fitness(returns, es.shaping), es, t, theta0.manifest)
+            theta = PolicyParams(manifest=theta0.manifest, values=theta.values + delta)
         assert np.array_equal(final.values, theta.values)
         assert len(stats) == setup.es.iterations
 
@@ -192,17 +189,6 @@ class TestInproc:
             # coordinator sent: T begins + T broadcasts + 1 shutdown
             assert coord_end.sent == 2 * T + 1
 
-    def test_worker_exception_propagates(self):
-        setup, theta0 = quadratic_setup()
-        bad_setup = TrainingSetup(
-            es=setup.es,
-            manifest=ParamManifest(tensors=(("theta", (5,)),)),  # wrong dim
-            evaluator=setup.evaluator,
-            iter_timeout=5.0,
-        )
-        with pytest.raises(Exception):
-            run_inproc(bad_setup, theta0, 2)
-
 
 class _WorkerThreadDeath(BaseException):
     """Escapes evaluate_assignment's ``except Exception`` and kills the thread."""
@@ -247,7 +233,7 @@ class TestInprocErrorPaths:
             return target(params, seeds)
 
         slow_deadline = TrainingSetup(
-            es=setup.es, manifest=setup.manifest, evaluator=dies_off_the_main_thread,
+            es=setup.es, evaluator=dies_off_the_main_thread,
             iter_timeout=60.0,
         )
         before = set(threading.enumerate())
@@ -269,23 +255,23 @@ class TestWorkerProtocol:
     def test_out_of_order_iteration_fatal(self, connection_pair):
         setup, theta0 = quadratic_setup()
         coord_end, worker_end = connection_pair()
-        coord_end.send(IterationBegin(t=3, assignment=WorkerAssignment(1, 0, 2)))
+        coord_end.send(IterationBegin(t=3, indices=range(0, 2)))
         with pytest.raises(ProtocolError, match="announced iteration 3, expected 0"):
             run_worker(setup, theta0, worker_end)
 
     def test_report_covers_assignment_and_update_applied(self, connection_pair):
         setup, theta0 = quadratic_setup()
         coord_end, worker_end = connection_pair()
-        assignment = WorkerAssignment(worker_id=1, start=2, stop=6)
+        indices = range(2, 6)
         results = {}
 
         def drive():
-            coord_end.send(IterationBegin(t=0, assignment=assignment))
+            coord_end.send(IterationBegin(t=0, indices=indices))
             report = coord_end.recv(timeout=10.0)
             results["report"] = report
             delta = np.full(6, 0.25)
             coord_end.send(UpdateBroadcast(t=0, delta=delta))
-            coord_end.send(IterationBegin(t=1, assignment=assignment))
+            coord_end.send(IterationBegin(t=1, indices=indices))
             results["second"] = coord_end.recv(timeout=10.0)
             coord_end.send(UpdateBroadcast(t=1, delta=np.zeros(6)))
             coord_end.send(Shutdown())
@@ -296,8 +282,8 @@ class TestWorkerProtocol:
         thread.join(timeout=10.0)
         report = results["report"]
         assert isinstance(report, ReturnsReport)
-        assert [j for j, _ in report.returns] == list(assignment.indices)
-        assert report.worker_id == 1
+        expected = evaluate_assignment(theta0, setup.es, 0, indices, setup.evaluator)
+        assert list(report.returns) == expected
         # second iteration evaluated theta0 + 0.25: different returns
         assert results["second"].returns != report.returns
 
@@ -318,11 +304,10 @@ class TestWorkerProtocol:
 
         capture_setup = TrainingSetup(
             es=toy_config(num_mutations=4, iterations=1),
-            manifest=setup.manifest,
             evaluator=capture,
         )
         coord_end, worker_end = connection_pair()
-        coord_end.send(IterationBegin(t=0, assignment=WorkerAssignment(1, 0, 4)))
+        coord_end.send(IterationBegin(t=0, indices=range(0, 4)))
 
         def finish():
             coord_end.recv(timeout=10.0)
@@ -335,7 +320,7 @@ class TestWorkerProtocol:
         thread.join(timeout=10.0)
         for j in range(4):
             seed, sign = mutation_seed_sign(capture_setup.es, 0, j)
-            epsilon = derive_perturbation(setup.manifest, seed, sign)
+            epsilon = derive_perturbation(theta0.manifest, seed, sign)
             expected = theta0.values + capture_setup.es.sigma * epsilon
             assert np.array_equal(seen[j], expected)
 
@@ -365,8 +350,7 @@ class TestTimeouts:
     def test_silent_worker_times_out_with_name(self, connection_pair):
         setup, theta0 = quadratic_setup()
         fast = TrainingSetup(
-            es=setup.es, manifest=setup.manifest, evaluator=setup.evaluator,
-            iter_timeout=0.3,
+            es=setup.es, evaluator=setup.evaluator, iter_timeout=0.3,
         )
         # The silent end stays open until the fixture closes it: a closed end
         # would be a dead worker, not a silent one.
@@ -374,47 +358,38 @@ class TestTimeouts:
         with pytest.raises(WorkerTimeoutError, match="worker 1 sent no returns for iteration 0"):
             run_coordinator(fast, theta0, [dead_end])
 
-    def test_duplicate_indices_in_report_rejected(self, connection_pair):
+    @staticmethod
+    def run_against_rogue(connection_pair, make_report):
+        """Run a coordinator whose one worker answers the first
+        IterationBegin with ``make_report(message)``."""
         setup, theta0 = quadratic_setup()
         coord_end, worker_end = connection_pair()
 
         def rogue():
-            msg = worker_end.recv(timeout=10.0)
-            worker_end.send(
-                ReturnsReport(
-                    t=msg.t,
-                    worker_id=msg.assignment.worker_id,
-                    returns=((msg.assignment.start, 1.0), (msg.assignment.start, 2.0)),
-                    eval_seconds=0.0,
-                )
-            )
+            worker_end.send(make_report(worker_end.recv(timeout=10.0)))
 
         thread = threading.Thread(target=rogue, daemon=True)
         thread.start()
-        with pytest.raises(ProtocolError, match="duplicate"):
+        try:
             run_coordinator(setup, theta0, [coord_end])
-        thread.join(timeout=10.0)
+        finally:
+            thread.join(timeout=10.0)
 
-    def test_out_of_assignment_report_rejected(self, connection_pair):
-        setup, theta0 = quadratic_setup()
-        coord_end, worker_end = connection_pair()
+    def test_wrong_length_report_rejected(self, connection_pair):
+        def one_return_short(msg):
+            return ReturnsReport(msg.t, (1.0,) * (len(msg.indices) - 1), 0.0)
 
-        def rogue():
-            msg = worker_end.recv(timeout=10.0)
-            worker_end.send(
-                ReturnsReport(
-                    t=msg.t,
-                    worker_id=msg.assignment.worker_id,
-                    returns=tuple((j + 100, 1.0) for j in msg.assignment.indices),
-                    eval_seconds=0.0,
-                )
-            )
+        message = "worker 1 reported 3 returns for iteration 0; iteration 0 assigned it 4"
+        with pytest.raises(ProtocolError, match=message):
+            self.run_against_rogue(connection_pair, one_return_short)
 
-        thread = threading.Thread(target=rogue, daemon=True)
-        thread.start()
-        with pytest.raises(ProtocolError, match="assigned"):
-            run_coordinator(setup, theta0, [coord_end])
-        thread.join(timeout=10.0)
+    def test_wrong_iteration_report_rejected(self, connection_pair):
+        def next_iteration(msg):
+            return ReturnsReport(msg.t + 1, (1.0,) * len(msg.indices), 0.0)
+
+        message = "worker 1 reported 4 returns for iteration 1; iteration 0 assigned it 4"
+        with pytest.raises(ProtocolError, match=message):
+            self.run_against_rogue(connection_pair, next_iteration)
 
 
 class TestServeWorkers:
@@ -474,11 +449,7 @@ class TestWallTimeBreakdown:
             time.sleep(0.3)
             return 1.0
 
-        setup = TrainingSetup(
-            es=config,
-            manifest=ParamManifest(tensors=(("theta", (3,)),)),
-            evaluator=sleepy,
-        )
+        setup = TrainingSetup(es=config, evaluator=sleepy)
         _, stats = run_coordinator(setup, vector_params(np.zeros(3)), [])
         eval_fraction, _, _ = wall_time_breakdown(stats)
         assert eval_fraction > 0.95

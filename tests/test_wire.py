@@ -12,7 +12,6 @@ from esotn.wire import (
     SocketConnection,
     UpdateBroadcast,
     WireError,
-    WorkerAssignment,
     decode_payload,
     encode_message,
 )
@@ -64,20 +63,18 @@ def connection_pair(request):
 
 class TestFraming:
     def test_iteration_begin(self, round_trip):
-        msg = IterationBegin(t=3, assignment=WorkerAssignment(2, 8, 16))
+        msg = IterationBegin(t=3, indices=range(8, 16))
         assert round_trip(msg) == msg
-        assert len(encode_message(msg)) == _HEADER_BYTES + 4 * 8  # t and the assignment
+        assert len(encode_message(msg)) == _HEADER_BYTES + 3 * 8  # t and the slice
 
     def test_returns_report(self, round_trip):
-        msg = ReturnsReport(
-            t=5, worker_id=1, returns=((3, 1.25), (4, -2.5)), eval_seconds=0.125
-        )
+        msg = ReturnsReport(t=5, returns=(1.25, -2.5), eval_seconds=0.125)
         assert round_trip(msg) == msg
 
     def test_returns_report_nan_survives(self, round_trip):
-        msg = ReturnsReport(t=0, worker_id=2, returns=((0, math.nan),), eval_seconds=0.0)
+        msg = ReturnsReport(t=0, returns=(math.nan,), eval_seconds=0.0)
         decoded = round_trip(msg)
-        assert math.isnan(decoded.returns[0][1])
+        assert math.isnan(decoded.returns[0])
 
     def test_update_broadcast(self, round_trip):
         delta = np.linspace(-1, 1, 37)
@@ -102,7 +99,7 @@ class TestFraming:
             decode_payload(1, b"\x00\x01")
 
     def test_returns_report_length_mismatch(self):
-        msg = ReturnsReport(t=0, worker_id=0, returns=((0, 1.0),), eval_seconds=0.0)
+        msg = ReturnsReport(t=0, returns=(1.0,), eval_seconds=0.0)
         frame = encode_message(msg)
         with pytest.raises(WireError):
             decode_payload(frame[4], frame[_HEADER_BYTES:-4])
@@ -112,21 +109,14 @@ class TestReportSizeIndependentOfParamDim:
     def test_payload_scales_with_assignment_not_theta(self):
         # The report for k_i mutations has a fixed size no matter how large
         # the parameter vector is; only the update broadcast scales with it.
-        small = ReturnsReport(
-            t=0, worker_id=0, returns=tuple((j, 0.5) for j in range(8)), eval_seconds=0.1
-        )
+        small = ReturnsReport(t=0, returns=(0.5,) * 8, eval_seconds=0.1)
         # identical k_i, conceptually a policy 1000x larger
-        large = ReturnsReport(
-            t=0, worker_id=0, returns=tuple((j, 1.5e6) for j in range(8)), eval_seconds=9.9
-        )
+        large = ReturnsReport(t=0, returns=(1.5e6,) * 8, eval_seconds=9.9)
         assert len(encode_message(small)) == len(encode_message(large))
 
     def test_payload_linear_in_assignment_size(self):
         def size(count):
-            report = ReturnsReport(
-                t=0, worker_id=0, returns=tuple((j, 1.0) for j in range(count)),
-                eval_seconds=0.0,
-            )
+            report = ReturnsReport(t=0, returns=(1.0,) * count, eval_seconds=0.0)
             return len(encode_message(report))
 
         per_entry = size(10) - size(9)
@@ -151,7 +141,7 @@ class TestSocketConnection:
         thread = threading.Thread(target=serve)
         thread.start()
         client = SocketConnection(socket.create_connection(("127.0.0.1", port)))
-        sent = ReturnsReport(t=0, worker_id=1, returns=((0, 3.5),), eval_seconds=0.0)
+        sent = ReturnsReport(t=0, returns=(3.5,), eval_seconds=0.0)
         client.send(sent)
         reply = client.recv(timeout=5.0)
         thread.join()
