@@ -68,17 +68,22 @@ _KNOWN_ERRORS = (
 )
 
 
-def _override_args(parser: argparse.ArgumentParser) -> None:
+# Flag -> config key. Each flag is shorthand for ``--set KEY=VALUE``, so the
+# config schema alone parses its text, and the last occurrence of a key wins.
+_SHARED_FLAGS = {
+    "--seed": "es.seed",
+    "--sigma": "es.sigma",
+    "--alpha": "es.alpha",
+    "--mutations": "es.mutations",
+    "--iterations": "es.iterations",
+    "--out": "run.out",
+    "--iter-timeout-secs": "run.iter_timeout_secs",
+}
+_TRAIN_FLAGS = {**_SHARED_FLAGS, "--workers": "run.workers", "--mode": "run.mode"}
+
+
+def _config_args(parser: argparse.ArgumentParser, flags: dict[str, str]) -> None:
     parser.add_argument("--config", help="run configuration file")
-    parser.add_argument("--seed", type=int, help="override es.seed")
-    parser.add_argument("--sigma", type=float, help="override es.sigma")
-    parser.add_argument("--alpha", type=float, help="override es.alpha")
-    parser.add_argument("--mutations", type=int, help="override es.mutations")
-    parser.add_argument("--iterations", type=int, help="override es.iterations")
-    parser.add_argument("--out", help="override run.out (output directory)")
-    parser.add_argument(
-        "--iter-timeout-secs", type=float, help="override run.iter_timeout_secs"
-    )
     parser.add_argument(
         "--set",
         action="append",
@@ -86,6 +91,15 @@ def _override_args(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override any config key (repeatable)",
     )
+    for flag, key in flags.items():
+        parser.add_argument(
+            flag,
+            dest="set",
+            action="append",
+            type=lambda value, key=key: f"{key}={value}",
+            metavar="VALUE",
+            help=f"same as --set {key}=VALUE",
+        )
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
@@ -95,22 +109,6 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key.strip()] = value.strip()
-    named = {
-        "es.seed": args.seed,
-        "es.sigma": args.sigma,
-        "es.alpha": args.alpha,
-        "es.mutations": args.mutations,
-        "es.iterations": args.iterations,
-        "run.out": args.out,
-        "run.iter_timeout_secs": args.iter_timeout_secs,
-    }
-    if getattr(args, "workers", None) is not None:
-        named["run.workers"] = args.workers
-    if getattr(args, "mode", None) is not None:
-        named["run.mode"] = args.mode
-    for key, value in named.items():
-        if value is not None:
-            overrides[key] = str(value)
     return overrides
 
 
@@ -246,13 +244,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"--workers: cannot parse {args.workers!r}: {exc}") from None
     if not worker_counts:
         raise ConfigError("bench needs at least one worker count")
-    overrides = _collect_overrides(args)
-    overrides.pop("run.workers", None)
-    config = load_run_config(args.config, overrides)
+    config = load_run_config(args.config, _collect_overrides(args))
     # Bench measures wall-clock scaling, which needs real processes; the
     # mode flag still allows inproc for protocol checks. Every count is
     # checked before the first run starts.
-    run_configs = [replace(config, workers=n, mode=args.mode or "proc") for n in worker_counts]
+    run_configs = [replace(config, workers=n, mode=args.mode) for n in worker_counts]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -302,13 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="run a training loop and write checkpoints")
-    _override_args(train)
-    train.add_argument("--workers", type=int, help="override run.workers")
-    train.add_argument("--mode", choices=("inproc", "proc"), help="override run.mode")
+    _config_args(train, _TRAIN_FLAGS)
     train.set_defaults(func=cmd_train)
 
     evaluate = sub.add_parser("eval", help="deterministic rollouts of a checkpoint")
-    _override_args(evaluate)
+    _config_args(evaluate, {"--seed": "es.seed"})
     evaluate.add_argument(
         "--checkpoint", help="checkpoint file; omit for the zero-parameter baseline"
     )
@@ -318,15 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.set_defaults(func=cmd_eval)
 
     bench = sub.add_parser("bench", help="worker-scaling benchmark over a list of worker counts")
-    _override_args(bench)
+    _config_args(bench, _SHARED_FLAGS)
     bench.add_argument(
         "--workers", default="1,2,4,8", help="comma-separated worker counts (default 1,2,4,8)"
     )
     bench.add_argument(
         "--mode",
-        choices=("inproc", "proc"),
-        default=None,
-        help="transport (default proc; threads cannot show wall-clock scaling)",
+        default="proc",
+        help="run.mode of every run (default proc; threads cannot show wall-clock scaling)",
     )
     bench.set_defaults(func=cmd_bench)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .env import EnvConfig, run_episode
 from .policy import (
+    EvaluationError,
     ParamManifest,
     PolicyConfig,
     PolicyContext,
@@ -38,10 +39,6 @@ Evaluator = Callable[[PolicyParams, Sequence[int]], float]
 class ProtocolError(RuntimeError):
     """A worker's report or an iteration's fitness vector is incomplete or
     inconsistent."""
-
-
-class EvaluationError(RuntimeError):
-    """Every mutation of an iteration failed, so there is nothing to rank."""
 
 
 @dataclass(frozen=True)

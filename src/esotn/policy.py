@@ -28,7 +28,8 @@ LINK_FEATURES = 3
 
 
 class EvaluationError(RuntimeError):
-    """A policy evaluation produced a non-finite value."""
+    """A policy evaluation produced a non-finite value, or every mutation of
+    an iteration failed, so there is nothing to rank."""
 
 
 @dataclass(frozen=True)
@@ -227,12 +228,10 @@ class PolicyContext:
         caps = topology.capacities
         n_links = len(topology.links)
         adj = np.zeros((n_links, n_links), dtype=np.float64)
-        for i in range(n_links):
-            a_i, b_i = topology.link_endpoints(i)
-            for j in range(i + 1, n_links):
-                a_j, b_j = topology.link_endpoints(j)
-                if {a_i, b_i} & {a_j, b_j}:
-                    adj[i, j] = adj[j, i] = 1.0
+        for incident in topology.adjacency:  # links sharing a node are adjacent
+            ids = [link_id for link_id, _ in incident]
+            adj[np.ix_(ids, ids)] = 1.0
+        np.fill_diagonal(adj, 0.0)
         adj.setflags(write=False)
         return PolicyContext(
             capacities=caps,

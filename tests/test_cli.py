@@ -1,15 +1,17 @@
+import re
 import socket
 import subprocess
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import TRIANGLE_TEXT
 from esotn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from esotn.cli import main
+from esotn.cli import _TRAIN_FLAGS, main
 from esotn.env import DemandStream, EnvConfig
-from esotn.policy import PolicyConfig, init_params
+from esotn.policy import PolicyConfig, PolicyParams, init_params
 from esotn.seeds import TAG_EVAL, derive_key
 from esotn.topology import compute_candidate_paths, load_topology
 from esotn.wire import Shutdown, SocketConnection
@@ -231,6 +233,18 @@ class TestEval:
         ) == 0
         assert "evaluated 1 episodes" in capsys.readouterr().out
 
+    def test_overflowing_scores_fail_with_one_line(self, tmp_path, capsys):
+        params = init_params(PolicyConfig(), 0)
+        values = params.values.copy()
+        start, stop, _ = params.manifest.slots["readout.w"]
+        values[start:stop] = 1e308
+        ckpt = tmp_path / "overflow.esotn"
+        save_checkpoint(ckpt, PolicyParams(manifest=params.manifest, values=values))
+        assert main(["eval", "--checkpoint", str(ckpt), "--episodes", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("episodes", ["0", "-1"])
     def test_episodes_below_one_rejected(self, triangle_cfg, capsys, episodes):
         cfg_path, _ = triangle_cfg
@@ -263,10 +277,63 @@ class TestEval:
     ],
 )
 def test_bad_env_value_fails_with_one_line(tmp_path, capsys, command, override, key):
-    assert main([command, "--set", override, "--out", str(tmp_path / "out")]) == 1
+    argv = [command, "--set", override]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+FLAG_VALUES = {
+    "--seed": "3",
+    "--sigma": "0.1",
+    "--alpha": "0.5",
+    "--mutations": "8",
+    "--iterations": "1",
+    "--out": None,  # a directory under tmp_path
+    "--iter-timeout-secs": "60",
+    "--workers": "2",
+    "--mode": "proc",
+}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("flag, key", _TRAIN_FLAGS.items(), ids=list(_TRAIN_FLAGS))
+    def test_flag_writes_the_same_echo_as_set(self, triangle_cfg, flag, key):
+        cfg_path, tmp_path = triangle_cfg
+        value = FLAG_VALUES[flag] or str(tmp_path / "flag_out")
+        out = Path(value) if flag == "--out" else tmp_path / "out"
+        echoes = []
+        for pair in ([flag, value], ["--set", f"{key}={value}"]):
+            assert main(["train", "--config", str(cfg_path), *pair]) == 0
+            echoes.append((out / "config.echo.cfg").read_bytes())
+        assert echoes[0] == echoes[1]
+        assert f"{key} = {value}\n".encode() in echoes[0]
+
+    def test_eval_takes_only_the_flags_it_reads(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert options == {
+            "--help", "--config", "--set", "--seed", "--checkpoint", "--episodes",
+            "--report", "--trace",
+        }
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--sigma", "0.1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, key", [("--seed", "x", "es.seed"), ("--mode", "bogus", "run.mode")]
+    )
+    def test_bad_flag_value_fails_with_one_line(self, tmp_path, capsys, flag, value, key):
+        out = tmp_path / "out"
+        assert main(["train", flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert len(err.splitlines()) == 1 and not out.exists()
 
 
 class TestBench:

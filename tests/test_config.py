@@ -1,7 +1,13 @@
+import itertools
+import re
+from pathlib import Path
+
 import pytest
 
 from esotn.config import (
+    _SCHEMA,
     ConfigError,
+    RunConfig,
     build_env_configs,
     build_training_setup,
     load_run_config,
@@ -177,6 +183,26 @@ class TestEcho:
         write_config_echo(original, echo)
         reloaded = load_run_config(echo)
         assert reloaded == original
+
+
+def test_readme_configuration_table_matches_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+    documented: dict[str, str] = {}
+    for row in itertools.takewhile(lambda line: line.startswith("|"), table.splitlines()):
+        cells = row.split("|")
+        keys = re.findall(r"`([^`]+)`", cells[1])
+        defaults = re.findall(r"`([^`]+)`", cells[2])
+        assert len(keys) == len(defaults), row
+        for key, default in zip(keys, defaults):
+            assert key not in documented, f"{key} documented twice"
+            documented[key] = default
+    assert sorted(documented) == sorted(_SCHEMA)
+    config = RunConfig()
+    for key, default in documented.items():
+        section_name, name, caster = _SCHEMA[key]
+        owner = config if section_name is None else getattr(config, section_name)
+        assert caster(default) == getattr(owner, name), key
 
 
 class TestTopologyResolution:

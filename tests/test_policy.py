@@ -298,6 +298,20 @@ def bundled_env(name, bandwidths=(8.0, 32.0, 64.0)):
     )
 
 
+@pytest.mark.parametrize("name", ["nsfnet", "geant2"])
+def test_link_adjacency_matches_pair_loop(name):
+    # Reference: two links are adjacent when they share an endpoint.
+    links = load_bundled_topology(name).links
+    expected = np.zeros((len(links), len(links)))
+    for i, (a_i, b_i, _) in enumerate(links):
+        for j, (a_j, b_j, _) in enumerate(links):
+            if i != j and {a_i, b_i} & {a_j, b_j}:
+                expected[i, j] = 1.0
+    adjacency = PolicyContext.for_env(bundled_env(name)).link_adjacency
+    assert adjacency.dtype == expected.dtype
+    assert adjacency.tobytes() == expected.tobytes()
+
+
 class TestForwardCachesMatchReference:
     """``forward`` keeps per-parameter terms (tiled biases, demand embeddings,
     per-context link terms) and per-pair on-path layouts. Whichever
