@@ -244,11 +244,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"--workers: cannot parse {args.workers!r}: {exc}") from None
     if not worker_counts:
         raise ConfigError("bench needs at least one worker count")
-    config = load_run_config(args.config, _collect_overrides(args))
     # Bench measures wall-clock scaling, which needs real processes; the
-    # mode flag still allows inproc for protocol checks. Every count is
-    # checked before the first run starts.
-    run_configs = [replace(config, workers=n, mode=args.mode) for n in worker_counts]
+    # mode flag still allows inproc for protocol checks. The counts replace
+    # the file's run.workers, and each is checked before the first run starts.
+    overrides = {"run.workers": str(worker_counts[0]), "run.mode": args.mode}
+    config = load_run_config(args.config, {**_collect_overrides(args), **overrides})
+    run_configs = [replace(config, workers=n) for n in worker_counts]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

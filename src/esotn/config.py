@@ -10,7 +10,7 @@ processes load, so every participant reconstructs identical state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -55,10 +55,6 @@ def _parse_str_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _parse_opt_int(raw: str) -> int | None:
-    return None if raw.strip().lower() in ("none", "unbounded") else int(raw)
-
-
 def _parse_opt_float(raw: str) -> float | None:
     return None if raw.strip().lower() in ("none", "auto") else _parse_float(raw)
 
@@ -80,10 +76,8 @@ def _fmt(value) -> str:
 _SCHEMA: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
     "topology.files": (None, "topology_files", _parse_str_list),
     "topology.k_paths": (None, "k_paths", int),
-    "env.link_capacity": (None, "link_capacity", _parse_opt_float),
     "env.demand_bandwidths": (None, "demand_bandwidths", _parse_float_list),
-    "env.demand_seed": (None, "demand_seed", int),
-    "env.max_episode_steps": (None, "max_episode_steps", _parse_opt_int),
+    "env.max_episode_steps": (None, "max_episode_steps", int),
     "policy.hidden_dim": ("policy", "hidden_dim", int),
     "policy.message_passing_steps": ("policy", "message_passing_steps", int),
     "policy.action_noise": ("policy", "action_noise_epsilon", _parse_float),
@@ -108,10 +102,8 @@ _SCHEMA: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
 class RunConfig:
     topology_files: tuple[str, ...] = ("nsfnet",)
     k_paths: int = 4
-    link_capacity: float | None = None
     demand_bandwidths: tuple[float, ...] = (8.0, 32.0, 64.0)
-    demand_seed: int = 0
-    max_episode_steps: int | None = 1000
+    max_episode_steps: int = 1000
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     es: ESConfig = field(default_factory=ESConfig)
     mode: str = "inproc"
@@ -131,9 +123,7 @@ class RunConfig:
             raise ConfigError("topology.files must list at least one topology")
         if self.k_paths < 1:
             raise ConfigError(f"topology.k_paths must be >= 1, got {self.k_paths}")
-        if self.link_capacity is not None and self.link_capacity <= 0:
-            raise ConfigError(f"env.link_capacity must be > 0, got {self.link_capacity}")
-        if self.max_episode_steps is not None and self.max_episode_steps < 1:
+        if self.max_episode_steps < 1:
             raise ConfigError(f"env.max_episode_steps must be >= 1, got {self.max_episode_steps}")
         if self.iter_timeout_secs <= 0:
             raise ConfigError(f"run.iter_timeout_secs must be > 0, got {self.iter_timeout_secs}")
@@ -199,41 +189,34 @@ def write_config_echo(config: RunConfig, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def resolve_topology(entry: str, link_capacity: float | None) -> Topology:
+def resolve_topology(entry: str) -> Topology:
     """A config topology entry is either a file path or a bundled name (a
     directory of that name, such as an earlier run's output, is neither)."""
     path = Path(entry)
     if path.is_file():
-        topo = load_topology(path.read_text(encoding="utf-8"), name=path.stem)
-    elif entry in bundled_topology_names():
-        topo = load_bundled_topology(entry)
-    else:
-        raise ConfigError(
-            f"topology {entry!r} is neither a file nor a bundled name "
-            f"({', '.join(bundled_topology_names())})"
-        )
-    if link_capacity is not None:
-        topo = replace(
-            topo, links=tuple((a, b, float(link_capacity)) for a, b, _ in topo.links)
-        )
-    return topo
+        return load_topology(path.read_text(encoding="utf-8"), name=path.stem)
+    if entry in bundled_topology_names():
+        return load_bundled_topology(entry)
+    raise ConfigError(
+        f"topology {entry!r} is neither a file nor a bundled name "
+        f"({', '.join(bundled_topology_names())})"
+    )
 
 
 def build_env_configs(config: RunConfig) -> list[EnvConfig]:
     envs = []
     for entry in config.topology_files:
-        topo = resolve_topology(entry, config.link_capacity)
+        topo = resolve_topology(entry)
         paths = compute_candidate_paths(topo, config.k_paths)
         try:
             env = EnvConfig(
                 topology=topo,
                 paths=paths,
                 demand_bandwidths=config.demand_bandwidths,
-                demand_rng_seed=config.demand_seed,
                 max_episode_steps=config.max_episode_steps,
             )
         except ValueError as exc:  # bandwidths against this topology's capacities
-            raise ConfigError(f"env.demand_bandwidths/env.link_capacity: {exc}") from None
+            raise ConfigError(f"env.demand_bandwidths: {exc}") from None
         envs.append(env)
     return envs
 

@@ -43,8 +43,7 @@ class EnvConfig:
     topology: Topology
     paths: CandidatePathTable
     demand_bandwidths: tuple[float, ...] = (8.0, 32.0, 64.0)
-    demand_rng_seed: int = 0
-    max_episode_steps: int | None = 1000
+    max_episode_steps: int = 1000
 
     def __post_init__(self) -> None:
         if not self.demand_bandwidths:
@@ -57,7 +56,7 @@ class EnvConfig:
                 f"largest demand bandwidth {max(self.demand_bandwidths)} exceeds "
                 f"smallest link capacity {min_cap}"
             )
-        if self.max_episode_steps is not None and self.max_episode_steps < 1:
+        if self.max_episode_steps < 1:
             raise ValueError(f"max_episode_steps must be positive, got {self.max_episode_steps}")
 
     @property
@@ -68,7 +67,7 @@ class EnvConfig:
 class DemandStream:
     """Deterministic demand sequence for one episode.
 
-    Draw i is a pure function of (demand_rng_seed, episode_seed, i): each
+    Draw i is a pure function of (episode_seed, i): each
     draw uses its own counter-based generator, so streams are bit-identical
     across platforms and independent of how episodes are scheduled.
 
@@ -84,7 +83,6 @@ class DemandStream:
     ) -> None:
         self._node_count = config.topology.node_count
         self._bandwidths = config.demand_bandwidths
-        self._base_seed = config.demand_rng_seed
         self._episode_seed = episode_seed
         self._draw_index = 0
         self._memo = {} if memo is None else memo
@@ -96,7 +94,8 @@ class DemandStream:
         demand = self._memo.get(i)
         if demand is not None:
             return demand
-        rng = rng_from_key(derive_key(TAG_DEMAND, self._base_seed, self._episode_seed, i))
+        # 0 was the only value of the removed demand base seed; it keeps every stream.
+        rng = rng_from_key(derive_key(TAG_DEMAND, 0, self._episode_seed, i))
         n = self._node_count
         pair = int(rng.integers(n * (n - 1)))
         bw = self._bandwidths[int(rng.integers(len(self._bandwidths)))]
@@ -167,8 +166,7 @@ class OtnEnv:
         state.allocated_total += demand.bandwidth
         state.pending = self._stream.sample()
         done = not feasible_actions(state, self._paths).any()
-        if self._max_steps is not None:
-            done = done or state.step_count >= self._max_steps
+        done = done or state.step_count >= self._max_steps
         return state, demand.bandwidth / self._max_bandwidth, done
 
 

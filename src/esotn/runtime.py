@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import socket
+import subprocess
 import threading
 import time
 from dataclasses import dataclass
@@ -270,18 +271,18 @@ def run_inproc(
 
 def serve_workers(
     n: int,
-    spawn: Callable[[str], object],
+    spawn: Callable[[str], subprocess.Popen],
     bind_host: str = "127.0.0.1",
     bind_port: int = 0,
     accept_timeout: float = 60.0,
-) -> tuple[list[SocketConnection], list, socket.socket]:
+) -> tuple[list[SocketConnection], list[subprocess.Popen], socket.socket]:
     """Listen, launch n-1 worker processes, and accept their connections.
 
     ``spawn`` receives the ``host:port`` endpoint and must start one worker
-    (returning a process handle or None for externally managed workers).
+    process, returning its handle.
     """
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    processes: list = []
+    processes: list[subprocess.Popen] = []
     connections: list[SocketConnection] = []
     try:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -299,9 +300,8 @@ def serve_workers(
         for conn in connections:
             conn.close()
         for process in processes:
-            if process is not None:
-                process.kill()
-                process.wait()
+            process.kill()
+            process.wait()
         if not isinstance(exc, TimeoutError):
             raise
         raise WorkerTimeoutError(
@@ -314,7 +314,7 @@ def run_proc(
     setup: TrainingSetup,
     theta0: PolicyParams,
     n: int,
-    spawn: Callable[[str], object],
+    spawn: Callable[[str], subprocess.Popen],
     on_iteration: Callable[[IterationStats, PolicyParams], None] | None = None,
     bind_host: str = "127.0.0.1",
     bind_port: int = 0,
@@ -329,8 +329,6 @@ def run_proc(
     finally:
         listener.close()
         for process in processes:
-            if process is None:
-                continue
             try:
                 code = process.wait(timeout=30.0)
                 if code != 0:

@@ -57,10 +57,6 @@ class Topology:
             per_node[b].append((link_id, a))
         return tuple(tuple(sorted(n)) for n in per_node)
 
-    def link_endpoints(self, link_id: int) -> tuple[int, int]:
-        a, b, _ = self.links[link_id]
-        return a, b
-
 
 def validate_topology(topo: Topology) -> Topology:
     """Check all structural invariants, raising on the first violation.

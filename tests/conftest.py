@@ -31,7 +31,6 @@ def triangle_env(triangle):
         topology=triangle,
         paths=paths,
         demand_bandwidths=(4.0,),
-        demand_rng_seed=0,
     )
 
 

@@ -272,7 +272,6 @@ class TestEval:
     [
         ("topology.k_paths=0", "topology.k_paths"),
         ("env.max_episode_steps=0", "env.max_episode_steps"),
-        ("env.link_capacity=-5", "env.link_capacity"),
         ("env.demand_bandwidths=1000", "env.demand_bandwidths"),
     ],
 )
@@ -284,6 +283,30 @@ def test_bad_env_value_fails_with_one_line(tmp_path, capsys, command, override, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "bench"])
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("env.demand_seed=0", "env.demand_seed"),
+        ("env.link_capacity=100", "env.link_capacity"),
+        ("env.max_episode_steps=none", "env.max_episode_steps"),
+    ],
+)
+def test_removed_env_setting_fails_with_one_line(tmp_path, capsys, command, override, key):
+    # The demand streams follow from es.seed alone, capacities come from the
+    # topology file, and an episode always has a step bound.
+    out = tmp_path / "out"
+    argv = [command, "--set", override]
+    if command != "eval":
+        argv += ["--out", str(out), "--iterations", "1"]
+    if command == "bench":
+        argv += ["--workers", "1", "--mode", "inproc"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert len(err.splitlines()) == 1 and not out.exists()
 
 
 FLAG_VALUES = {
@@ -351,6 +374,18 @@ class TestBench:
         assert [row[0] for row in rows] == ["1", "2"]
         assert float(rows[0][3]) == 1.0  # speedup at n=1 is exactly 1
         assert "monotonic_eval_seconds" in capsys.readouterr().out
+
+    def test_worker_counts_replace_the_files_run_workers(self, triangle_cfg):
+        # es.mutations = 4 is two mirrored pairs: three workers could not
+        # share them, but bench never runs the file's run.workers.
+        cfg_path, tmp_path = triangle_cfg
+        cfg_path.write_text(cfg_path.read_text() + "run.workers = 3\n")
+        out = tmp_path / "bench_out"
+        argv = ["bench", "--config", str(cfg_path), "--workers", "1,2", "--iterations", "1",
+                "--mode", "inproc", "--out", str(out)]
+        assert main(argv) == 0
+        _, rows = read_csv_rows(out / "bench.csv")
+        assert [row[0] for row in rows] == ["1", "2"]
 
     def test_bench_requires_worker_counts(self, triangle_cfg):
         cfg_path, _ = triangle_cfg

@@ -86,11 +86,6 @@ class TestLoadRunConfig:
         path.write_text("env.demand_bandwidths = 2, 4, 8\n")
         assert load_run_config(path).demand_bandwidths == (2.0, 4.0, 8.0)
 
-    def test_unbounded_episode_steps(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("env.max_episode_steps = none\n")
-        assert load_run_config(path).max_episode_steps is None
-
     def test_failure_fitness_auto_and_value(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("es.failure_fitness = auto\n")
@@ -119,7 +114,6 @@ class TestLoadRunConfig:
             "es.sigma",
             "es.failure_fitness",
             "policy.action_noise",
-            "env.link_capacity",
             "env.demand_bandwidths",
             "run.iter_timeout_secs",
         ],
@@ -135,9 +129,7 @@ class TestLoadRunConfig:
 DEFAULT_ECHO = """\
 topology.files = nsfnet
 topology.k_paths = 4
-env.link_capacity = none
 env.demand_bandwidths = 8,32,64
-env.demand_seed = 0
 env.max_episode_steps = 1000
 policy.hidden_dim = 16
 policy.message_passing_steps = 4
@@ -174,7 +166,7 @@ class TestEcho:
                 "topology.files": "nsfnet,geant2",
                 "es.sigma": "0.125",
                 "es.failure_fitness": "-3.5",
-                "env.max_episode_steps": "none",
+                "env.max_episode_steps": "7",
                 "run.workers": "4",
                 "run.mode": "proc",
             },
@@ -207,27 +199,23 @@ def test_readme_configuration_table_matches_schema():
 
 class TestTopologyResolution:
     def test_bundled_name(self):
-        assert resolve_topology("nsfnet", None).node_count == 14
+        assert resolve_topology("nsfnet").node_count == 14
 
     def test_file_path(self, tmp_path):
         path = tmp_path / "tri.txt"
         path.write_text(TRIANGLE_TEXT)
-        topo = resolve_topology(str(path), None)
+        topo = resolve_topology(str(path))
         assert topo.node_count == 3
         assert topo.name == "tri"
 
     def test_directory_does_not_shadow_bundled_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "geant2").mkdir()
-        assert resolve_topology("geant2", None).node_count == 24
-
-    def test_capacity_override(self):
-        topo = resolve_topology("nsfnet", 500.0)
-        assert set(topo.capacities.tolist()) == {500.0}
+        assert resolve_topology("geant2").node_count == 24
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="neither a file nor a bundled"):
-            resolve_topology("fastnet", None)
+            resolve_topology("fastnet")
 
 
 class TestBuilders:

@@ -95,6 +95,15 @@ class TestDemandStream:
                 for stream_demand in (stream.sample() for _ in range(500))}
         assert seen == {(a, b) for a in range(3) for b in range(3) if a != b}
 
+    def test_nsfnet_draws_frozen(self, nsfnet_env):
+        # Draw i is a pure function of (episode seed, i): a change to the
+        # draw key or to the draw itself changes these values.
+        stream = DemandStream(nsfnet_env, 7)
+        assert [(d.src, d.dst, d.bandwidth) for d in (stream.sample() for _ in range(10))] == [
+            (6, 5, 64.0), (3, 8, 64.0), (5, 10, 32.0), (1, 5, 64.0), (0, 13, 8.0),
+            (0, 12, 64.0), (0, 11, 32.0), (7, 5, 8.0), (7, 8, 8.0), (5, 0, 8.0),
+        ]
+
     def test_src_never_equals_dst(self, nsfnet_env):
         stream = DemandStream(nsfnet_env, 9)
         assert all(d.src != d.dst for d in (stream.sample() for _ in range(1000)))

@@ -9,17 +9,21 @@ make those spans read 0 without any error, so this file pins all three.
 
 import inspect
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import esotn.config
 import esotn.env
 import esotn.es
 import esotn.policy
 import esotn.runtime
 import esotn.wire
 from esotn.cli import main
-from esotn.env import EnvConfig
+from esotn.config import build_env_configs, load_run_config
+from esotn.env import DemandStream, EnvConfig
 from esotn.es import (
     derive_perturbation,
     episode_seeds,
@@ -32,24 +36,15 @@ from esotn.policy import ParamManifest, PolicyConfig, PolicyParams, init_params
 from esotn.runtime import TrainingSetup, run_inproc
 from esotn.topology import compute_candidate_paths, load_bundled_topology
 
-PATCHED = [
-    (esotn.runtime, "evaluate_assignment"),
-    (esotn.runtime, "resolve_failures"),
-    (esotn.runtime, "run_coordinator"),
-    (esotn.runtime, "run_proc"),
-    (esotn.runtime, "serve_workers"),
-    (esotn.runtime, "shape_fitness"),
-    (esotn.runtime, "compute_update"),
-    (esotn.es, "derive_perturbation"),
-    (esotn.es, "mutate"),
-    (esotn.es, "make_agent"),
-    (esotn.policy, "forward"),
-    (esotn.policy, "feasible_actions"),
-    (esotn.env, "feasible_actions"),
-    (esotn.env.OtnEnv, "step"),
-    (esotn.env.DemandStream, "sample"),
-    (esotn.wire, "encode_message"),
-]
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.spans import COUNT_TARGETS, SPAN_TARGETS  # noqa: E402
+
+# perfbench's own span and count targets, plus the names its recorder and
+# harness replace outside those tables.
+PATCHED = list(dict.fromkeys(
+    [(owner, name) for owner, name, _ in SPAN_TARGETS + COUNT_TARGETS]
+    + [(esotn.runtime, "run_coordinator"), (esotn.runtime, "run_proc")]
+))
 
 
 @pytest.mark.parametrize(
@@ -116,6 +111,36 @@ def test_rollout_resolves_step_functions_through_module_globals(monkeypatch, mas
     assert calls["forward"] == calls["step"]
     assert calls["env.feasible"] == calls["allocated"]
     assert calls["policy.feasible"] == (calls["step"] if masking else 0)
+
+
+def test_env_configs_find_paths_through_config_globals(monkeypatch):
+    calls = []
+    compute = esotn.config.compute_candidate_paths
+
+    def counted(topo, k):
+        calls.append(topo.name)
+        return compute(topo, k)
+
+    monkeypatch.setattr(esotn.config, "compute_candidate_paths", counted)
+    build_env_configs(load_run_config(None, {"topology.files": "nsfnet,geant2"}))
+    assert calls == ["nsfnet", "geant2"]
+
+
+def test_memo_free_demand_draw_builds_one_generator(monkeypatch):
+    topo = load_bundled_topology("nsfnet")
+    env_config = EnvConfig(topology=topo, paths=compute_candidate_paths(topo, 4))
+    calls = []
+    rng_from_key = esotn.env.rng_from_key
+
+    def counted(key):
+        calls.append(key)
+        return rng_from_key(key)
+
+    monkeypatch.setattr(esotn.env, "rng_from_key", counted)
+    stream = DemandStream(env_config, 7)
+    for _ in range(5):
+        stream.sample()
+    assert len(calls) == 5
 
 
 def test_eval_resolves_agent_and_forward_through_module_globals(monkeypatch, capsys):

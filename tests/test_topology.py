@@ -30,7 +30,7 @@ def links_to_nodes(topo, src, links):
     """Walk a link-id sequence from src, returning the visited nodes."""
     nodes = [src]
     for link_id in links:
-        a, b = topo.link_endpoints(link_id)
+        a, b = topo.links[link_id][:2]
         assert nodes[-1] in (a, b), "link does not touch the walk head"
         nodes.append(b if nodes[-1] == a else a)
     return nodes
