@@ -55,15 +55,9 @@ def _parse_str_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _parse_opt_float(raw: str) -> float | None:
-    return None if raw.strip().lower() in ("none", "auto") else _parse_float(raw)
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "none"
     if isinstance(value, tuple):
         return ",".join(_fmt(v) for v in value)
     if isinstance(value, float) and value == int(value):
@@ -89,7 +83,6 @@ _SCHEMA: dict[str, tuple[str | None, str, Callable[[str], object]]] = {
     "es.episodes_per_eval": ("es", "episodes_per_eval", int),
     "es.iterations": ("es", "iterations", int),
     "es.seed": ("es", "global_seed", int),
-    "es.failure_fitness": ("es", "failure_fitness", _parse_opt_float),
     "run.mode": (None, "mode", str),
     "run.workers": (None, "workers", int),
     "run.out": (None, "out_dir", str),

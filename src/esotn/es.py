@@ -6,15 +6,20 @@ policy for both the training fitness and ``esotn eval``.
 An iteration's fitness is one float64 vector of length k, indexed by
 mutation. Perturbations are never stored or transmitted: every consumer
 re-derives mutation j's from (seed, sign) = ``mutation_seed_sign(config,
-t, j)``, one vector at a time, so memory stays O(total_dim) no matter how
-many mutations an iteration uses.
+t, j)``, a few vectors at a time, so memory stays O(total_dim) no matter
+how many mutations an iteration uses.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,6 +40,13 @@ log = logging.getLogger(__name__)
 # Evaluator contract: (candidate params, episode seeds) -> raw return.
 Evaluator = Callable[[PolicyParams, Sequence[int]], float]
 
+# From this many parameters up, perturbations are drawn ahead of their use
+# on helper threads (numpy's normal draws release the GIL); below it the
+# handoff costs more than the draw. On 2 cores at d = 133,377, one helper
+# hides evaluate_assignment's draws behind the rollouts (a second takes the
+# rollouts' core), and two halve the draw time of compute_update.
+PREFETCH_MIN_DIM = 100_000
+
 
 class ProtocolError(RuntimeError):
     """A worker's report or an iteration's fitness vector is incomplete or
@@ -50,7 +62,6 @@ class ESConfig:
     episodes_per_eval: int = 3
     iterations: int = 300
     global_seed: int = 0
-    failure_fitness: float | None = None  # None: worst finite return minus one
     shaping: str = "rank"  # "centered" is a diagnostic mode for estimator tests
 
     def __post_init__(self) -> None:
@@ -86,25 +97,50 @@ def episode_seeds(config: ESConfig, t: int) -> list[int]:
     ]
 
 
-def derive_perturbation(manifest: ParamManifest, seed: int, sign: int) -> np.ndarray:
-    """sign * (total_dim i.i.d. standard normals keyed by seed)."""
-    values = standard_normal(seed, manifest.total_dim)
+def derive_perturbation(
+    manifest: ParamManifest, seed: int, sign: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """sign * (total_dim i.i.d. standard normals keyed by seed); the normals
+    are written into ``out`` when it is given."""
+    values = standard_normal(seed, manifest.total_dim, out=out)
     return values if sign >= 0 else -values
 
 
 def _perturbations(
-    manifest: ParamManifest, seed_signs: Iterable[tuple[int, int]]
-) -> Iterator[np.ndarray]:
-    """The perturbation of each (seed, sign) in turn. Mirrored partners are
-    adjacent in index order and share a seed, so a one-element cache derives
-    each pair's vector once and negates it for the partner."""
-    cached_seed: int | None = None
-    base: np.ndarray | None = None
-    for seed, sign in seed_signs:
-        if seed != cached_seed:
-            base = derive_perturbation(manifest, seed, 1)
-            cached_seed = seed
-        yield base if sign >= 0 else -base
+    manifest: ParamManifest, seed_signs: Iterable[tuple[int, int]], helpers: int
+) -> Iterator[tuple[np.ndarray, int]]:
+    """(vector, sign) for each (seed, sign) in turn; the perturbation is
+    sign * vector, and callers fold the sign into their scalar (negation is
+    exact). Mirrored partners are adjacent in index order and share a seed,
+    so each run of one seed is drawn once.
+
+    At ``PREFETCH_MIN_DIM`` parameters and up, the next ``helpers`` vectors
+    are drawn on as many helper threads while the caller uses the current
+    one. This thread allocates each vector and a helper fills it, so freed
+    vectors return to this thread's heap. Close the generator (see
+    ``contextlib.closing``) so that the helpers are joined on every exit."""
+    runs = [
+        (seed, [sign for _, sign in run]) for seed, run in groupby(seed_signs, key=itemgetter(0))
+    ]
+    if manifest.total_dim < PREFETCH_MIN_DIM:
+        for seed, signs in runs:
+            vector = derive_perturbation(manifest, seed, 1)
+            for sign in signs:
+                yield vector, sign
+        return
+    pool = ThreadPoolExecutor(helpers, thread_name_prefix="esotn-draw")
+    ahead = iter(runs)
+    pending: deque = deque()
+    try:
+        for _, signs in runs:
+            for seed, _ in islice(ahead, helpers + 1 - len(pending)):
+                out = np.empty(manifest.total_dim, dtype=np.float64)
+                pending.append(pool.submit(derive_perturbation, manifest, seed, 1, out=out))
+            vector = pending.popleft().result()
+            for sign in signs:
+                yield vector, sign
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def mutate(theta: PolicyParams, epsilon: np.ndarray, sigma: float) -> PolicyParams:
@@ -186,25 +222,25 @@ def evaluate_assignment(
     order: NaN where the evaluator raised or gave a non-finite value."""
     seeds = episode_seeds(config, t)
     raws: list[float] = []
-    epsilons = _perturbations(theta.manifest, [mutation_seed_sign(config, t, j) for j in indices])
-    for j, epsilon in zip(indices, epsilons):
-        candidate = mutate(theta, epsilon, config.sigma)
-        try:
-            raw = float(evaluator(candidate, seeds))
-        except Exception:
-            log.exception("evaluator raised for mutation %d of iteration %d", j, t)
-            raw = math.nan
-        raws.append(raw if math.isfinite(raw) else math.nan)
+    seed_signs = [mutation_seed_sign(config, t, j) for j in indices]
+    with closing(_perturbations(theta.manifest, seed_signs, helpers=1)) as epsilons:
+        for j, (epsilon, sign) in zip(indices, epsilons):
+            candidate = mutate(theta, epsilon, sign * config.sigma)
+            try:
+                raw = float(evaluator(candidate, seeds))
+            except Exception:
+                log.exception("evaluator raised for mutation %d of iteration %d", j, t)
+                raw = math.nan
+            raws.append(raw if math.isfinite(raw) else math.nan)
     return raws
 
 
 def resolve_failures(raw_returns: np.ndarray, config: ESConfig) -> np.ndarray:
-    """Replace NaN failure sentinels with the configured failure fitness.
-
-    The default ranks failed mutations strictly last (worst finite return
-    minus one) without distorting the utilities of the survivors. If every
-    mutation failed, any update would depend only on the mutation indices,
-    so this raises ``EvaluationError`` instead.
+    """Replace NaN failure sentinels with the worst finite return minus one,
+    which ranks failed mutations strictly last without distorting the
+    utilities of the survivors. If every mutation failed, any update would
+    depend only on the mutation indices, so this raises ``EvaluationError``
+    instead.
     """
     out = np.asarray(raw_returns, dtype=np.float64).copy()
     failed = np.isnan(out)
@@ -212,10 +248,7 @@ def resolve_failures(raw_returns: np.ndarray, config: ESConfig) -> np.ndarray:
         return out
     if failed.all():
         raise EvaluationError(f"all {out.size} mutations failed; see the evaluator errors logged")
-    if config.failure_fitness is not None:
-        out[failed] = config.failure_fitness
-    else:
-        out[failed] = out[~failed].min() - 1.0
+    out[failed] = out[~failed].min() - 1.0
     return out
 
 
@@ -250,16 +283,16 @@ def compute_update(
     """alpha / (k * sigma) * sum_j utilities[j] * epsilon_j for iteration t.
 
     Each epsilon_j is re-derived from ``mutation_seed_sign(config, t, j)``
-    and consumed in index order, one at a time, a mirrored pair's vector
-    derived once.
+    and added in index order, a mirrored pair's vector derived once.
     """
     k = config.num_mutations
     if utilities.shape != (k,):
         raise ProtocolError(f"iteration needs {k} utilities, got shape {utilities.shape}")
     acc = np.zeros(manifest.total_dim, dtype=np.float64)
-    epsilons = _perturbations(manifest, (mutation_seed_sign(config, t, j) for j in range(k)))
-    for j, epsilon in enumerate(epsilons):
-        acc += utilities[j] * epsilon
+    seed_signs = (mutation_seed_sign(config, t, j) for j in range(k))
+    with closing(_perturbations(manifest, seed_signs, helpers=2)) as epsilons:
+        for j, (epsilon, sign) in enumerate(epsilons):
+            acc += (sign * utilities[j]) * epsilon
     return (config.alpha / (k * config.sigma)) * acc
 
 
@@ -273,10 +306,3 @@ class IterationStats:
     update_seconds: float
     wall_seconds: float
     theta_l2_norm: float
-
-
-def toy_config(**overrides) -> ESConfig:
-    """Small defaults for synthetic-fitness experiments and tests."""
-    base = ESConfig(alpha=0.05, sigma=0.1, num_mutations=32, mirrored=True,
-                    episodes_per_eval=1, iterations=500)
-    return replace(base, **overrides)

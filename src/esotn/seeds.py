@@ -47,6 +47,7 @@ def rng_from_key(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def standard_normal(key: int, n: int) -> np.ndarray:
-    """n i.i.d. N(0, 1) float64 values as a pure function of the key."""
-    return rng_from_key(key).standard_normal(n, dtype=np.float64)
+def standard_normal(key: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """n i.i.d. N(0, 1) float64 values as a pure function of the key,
+    written into ``out`` when it is given."""
+    return rng_from_key(key).standard_normal(n, dtype=np.float64, out=out)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from esotn.env import EnvConfig
+from esotn.es import ESConfig
 from esotn.topology import Topology, compute_candidate_paths, validate_topology
 
 TRIANGLE_TEXT = """\
@@ -11,6 +14,13 @@ link 0 1 10
 link 1 2 10
 link 0 2 10
 """
+
+
+def toy_config(**overrides) -> ESConfig:
+    """Small defaults for synthetic-fitness experiments and tests."""
+    base = ESConfig(alpha=0.05, sigma=0.1, num_mutations=32, mirrored=True,
+                    episodes_per_eval=1, iterations=500)
+    return replace(base, **overrides)
 
 
 def make_topology(node_count, links, name="test"):

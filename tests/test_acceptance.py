@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import toy_config
 import esotn
 from esotn.cli import main
 from esotn.env import EnvConfig, OtnEnv
@@ -22,7 +23,6 @@ from esotn.es import (
     derive_perturbation,
     evaluate_assignment,
     shape_fitness,
-    toy_config,
 )
 from esotn.policy import (
     ParamManifest,

@@ -86,13 +86,6 @@ class TestLoadRunConfig:
         path.write_text("env.demand_bandwidths = 2, 4, 8\n")
         assert load_run_config(path).demand_bandwidths == (2.0, 4.0, 8.0)
 
-    def test_failure_fitness_auto_and_value(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("es.failure_fitness = auto\n")
-        assert load_run_config(path).es.failure_fitness is None
-        path.write_text("es.failure_fitness = -5\n")
-        assert load_run_config(path).es.failure_fitness == -5.0
-
     def test_invalid_mode(self):
         with pytest.raises(ConfigError, match="run.mode"):
             load_run_config(None, {"run.mode": "cluster"})
@@ -112,7 +105,6 @@ class TestLoadRunConfig:
         [
             "es.alpha",
             "es.sigma",
-            "es.failure_fitness",
             "policy.action_noise",
             "env.demand_bandwidths",
             "run.iter_timeout_secs",
@@ -142,7 +134,6 @@ es.mirrored = true
 es.episodes_per_eval = 3
 es.iterations = 300
 es.seed = 0
-es.failure_fitness = none
 run.mode = inproc
 run.workers = 1
 run.out = runs/default
@@ -165,7 +156,6 @@ class TestEcho:
             {
                 "topology.files": "nsfnet,geant2",
                 "es.sigma": "0.125",
-                "es.failure_fitness": "-3.5",
                 "env.max_episode_steps": "7",
                 "run.workers": "4",
                 "run.mode": "proc",

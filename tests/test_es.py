@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import toy_config
 from esotn.config import build_env_configs, load_run_config
 from esotn.env import run_episode
 from esotn.es import (
@@ -21,7 +22,6 @@ from esotn.es import (
     mutation_seed_sign,
     resolve_failures,
     shape_fitness,
-    toy_config,
 )
 from esotn.policy import (
     ParamManifest,
@@ -203,16 +203,10 @@ class TestResolveFailures:
         out = resolve_failures(np.array([3.0, math.nan, -2.0]), config)
         assert out.tolist() == [3.0, -3.0, -2.0]
 
-    def test_configured_failure_value(self):
-        config = toy_config(failure_fitness=-100.0)
-        out = resolve_failures(np.array([3.0, math.nan]), config)
-        assert out.tolist() == [3.0, -100.0]
-
-    @pytest.mark.parametrize("failure_fitness", [None, -100.0])
-    def test_all_failed_stops_the_run(self, failure_fitness):
+    def test_all_failed_stops_the_run(self):
         # Ranking k failures would give an update that depends only on the
         # mutation indices.
-        config = toy_config(failure_fitness=failure_fitness)
+        config = toy_config()
         with pytest.raises(EvaluationError, match="all 3 mutations failed"):
             resolve_failures(np.full(3, math.nan), config)
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import toy_config
 import esotn.config
 import esotn.env
 import esotn.es
@@ -30,7 +31,6 @@ from esotn.es import (
     make_fitness_evaluator,
     mutate,
     mutation_seed_sign,
-    toy_config,
 )
 from esotn.policy import ParamManifest, PolicyConfig, PolicyParams, init_params
 from esotn.runtime import TrainingSetup, run_inproc

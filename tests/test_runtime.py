@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import toy_config
 from esotn.es import (
     ProtocolError,
     compute_update,
     evaluate_assignment,
     resolve_failures,
     shape_fitness,
-    toy_config,
 )
 from esotn.policy import ParamManifest, PolicyParams
 from esotn.runtime import (
