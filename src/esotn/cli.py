@@ -143,6 +143,17 @@ def _run_training(
     return run_proc(setup, theta0, n, _spawn_worker_command(echo_path), on_iteration)
 
 
+def _numpy_provenance() -> dict[str, str]:
+    """numpy's version and its enabled SIMD dispatch targets: rollouts'
+    float32 ``tanh`` and ``exp`` bits, and so a trajectory, depend on both."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    enabled = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return {"numpy_version": np.__version__, "numpy_simd_dispatch": " ".join(enabled) or "none"}
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, _collect_overrides(args))
     setup, theta0 = build_training_setup(config)
@@ -151,7 +162,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     echo_path = out / "config.echo.cfg"
     write_config_echo(config, echo_path)
 
-    sidecar = dict(config.as_items())
+    sidecar = {**dict(config.as_items()), **_numpy_provenance()}
     start = time.perf_counter()
     with open(out / "stats.csv", "w", newline="", encoding="utf-8") as stats_file:
         writer = csv.writer(stats_file)

@@ -62,9 +62,11 @@ class PolicyParams:
     """A manifest plus the flat value vector it describes.
 
     ``values`` must not change after construction: the forward pass's
-    terms derived from it are built on first use and kept here. Each cache
-    is filled with ``setdefault``, so threads sharing a parameter object
-    can only store the same value twice.
+    terms derived from it are built on first use and kept here, in float32
+    from ``views``. Each keyed cache is filled with ``setdefault``, so
+    threads sharing a parameter object can only store the same value twice.
+    The terms live and die with the parameter object, so a mutation's
+    copies go when it does.
     """
 
     manifest: ParamManifest
@@ -84,9 +86,12 @@ class PolicyParams:
 
     @cached_property
     def views(self) -> dict[str, np.ndarray]:
-        """Every tensor by name, as a view into ``values`` built once."""
+        """Every tensor by name as a view into one float32 copy of
+        ``values``, built once: ``forward``'s operands. A value beyond
+        float32's range becomes inf there, and so a non-finite score."""
+        values = self.values.astype(np.float32)
         return {
-            name: self.values[start:stop].reshape(shape)
+            name: values[start:stop].reshape(shape)
             for name, (start, stop, shape) in self.manifest.slots.items()
         }
 
@@ -106,9 +111,9 @@ class PolicyParams:
         embedding = self._demand.get(load)
         if embedding is None:
             views = self.views
-            embedding = self._demand.setdefault(
-                load, np.tanh(load * views["demand_embed.w"][0] + views["demand_embed.b"])
-            )
+            embedding = self._demand.setdefault(load, np.tanh(
+                np.float32(load) * views["demand_embed.w"][0] + views["demand_embed.b"]
+            ))
         return embedding
 
     def link_terms(self, ctx: "PolicyContext") -> tuple[np.ndarray, ...]:
@@ -121,9 +126,9 @@ class PolicyParams:
             n_links = ctx.capacities.shape[0]
             terms = self._links.setdefault(ctx, (
                 w_in[0],
-                (ctx.capacities / ctx.max_capacity)[:, None] * w_in[1],
+                (ctx.capacities / ctx.max_capacity).astype(np.float32)[:, None] * w_in[1],
                 _tiled(self.views["link_embed.b"], (n_links, -1)),
-                _tiled(np.array([0.0, 1.0])[:, None, None] * w_in[2], (2, n_links, -1)),
+                _tiled(np.float32([0.0, 1.0])[:, None, None] * w_in[2], (2, n_links, -1)),
             ))
         return terms
 
@@ -227,7 +232,7 @@ class PolicyContext:
         topology = config.topology
         caps = topology.capacities
         n_links = len(topology.links)
-        adj = np.zeros((n_links, n_links), dtype=np.float64)
+        adj = np.zeros((n_links, n_links), dtype=np.float32)
         for incident in topology.adjacency:  # links sharing a node are adjacent
             ids = [link_id for link_id, _ in incident]
             adj[np.ix_(ids, ids)] = 1.0
@@ -248,25 +253,33 @@ def forward(
     state: EnvState,
     candidates: Sequence[np.ndarray],
 ) -> np.ndarray:
-    """Probability vector over the candidate paths of the pending demand."""
+    """Probability vector over the candidate paths of the pending demand.
+
+    Computed in float32 up to the candidates' scores, from float32 copies of
+    the parameters and of the features (each feature ratio is computed in
+    float64, then cast); the scores' finite check and softmax run in
+    float64."""
     if not candidates:
         raise ValueError("forward() needs at least one candidate path")
     n_cand = len(candidates)
     n_links = ctx.capacities.shape[0]
     demand = state.pending
     on_path, rows = ctx.paths.on_path(demand.src, demand.dst, candidates, n_links)
-    w_residual, capacity_term, embed_bias, on_off = params.link_terms(ctx)
-    hidden_dim = w_residual.shape[0]
     # Non-finite intermediates are caught below; silence numpy's overflow
-    # chatter so failed mutations degrade quietly to their failure fitness.
+    # chatter (a parameter cast past float32's range among it) so failed
+    # mutations degrade quietly to their failure fitness.
     with np.errstate(over="ignore", invalid="ignore"):
+        w_residual, capacity_term, embed_bias, on_off = params.link_terms(ctx)
+        hidden_dim = w_residual.shape[0]
         # Shared features (residual and capacity columns) embed once:
         # (residual term + capacity term) + bias, in that order. A link's
         # on-path column is 0 or 1, so its embedding takes one of two values
         # per link; both are squashed once and gathered into the
         # [link, candidate, h] hidden states (C-ordered, so both reshapes
         # below are views), with the bits of embedding every copy.
-        base = np.multiply((state.residual / ctx.capacities)[:, None], w_residual)
+        base = np.multiply(
+            (state.residual / ctx.capacities)[:, None], w_residual, dtype=np.float32
+        )
         base += capacity_term
         base += embed_bias
         stacked = np.add(base, on_off)
@@ -286,9 +299,7 @@ def forward(
             by_row += bias
             np.tanh(by_row, out=by_row)
 
-        path_repr = np.einsum(
-            "lc,lch->ch", on_path.astype(np.float64), by_row.reshape(n_links, n_cand, hidden_dim)
-        )
+        path_repr = np.einsum("lc,lch->ch", on_path, by_row.reshape(n_links, n_cand, hidden_dim))
         # tanh on the readout pre-activation lets the (shared) demand
         # embedding interact with each path sum; a linear readout would
         # cancel it in the softmax.
@@ -297,6 +308,7 @@ def forward(
         readout = params.views
         scores = path_repr @ readout["readout.w"][:, 0]
         scores += readout["readout.b"][0]
+    scores = scores.astype(np.float64)
     values = scores.tolist()
     if not all(map(math.isfinite, values)):
         raise EvaluationError(f"non-finite candidate scores: {scores}")

@@ -203,8 +203,8 @@ class CandidatePathTable:
     def on_path(
         self, src: int, dst: int, paths: Sequence[np.ndarray], n_links: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``paths`` over ``n_links`` links as a read-only boolean [link, path]
-        on-path matrix, plus the same matrix as row indices
+        """``paths`` over ``n_links`` links as a read-only float32 0/1
+        [link, path] on-path matrix, plus the same matrix as row indices
         ``link + n_links * on_path``, flattened link-major: each (link, path)'s
         row in a stack of per-link off-path rows over per-link on-path rows.
 
@@ -221,11 +221,11 @@ class CandidatePathTable:
 
 
 def _on_path_layout(paths: Sequence[np.ndarray], n_links: int) -> tuple[np.ndarray, np.ndarray]:
-    on_path = np.zeros((n_links, len(paths)), dtype=bool)
+    on_path = np.zeros((n_links, len(paths)), dtype=np.float32)
     for i, links in enumerate(paths):
-        on_path[links, i] = True
+        on_path[links, i] = 1.0
     # The smallest unsigned type that holds the indices keeps the cache small.
-    rows = (np.arange(n_links)[:, None] + n_links * on_path).ravel()
+    rows = (np.arange(n_links)[:, None] + n_links * on_path.astype(np.intp)).ravel()
     rows = rows.astype(np.min_scalar_type(2 * n_links - 1))
     on_path.setflags(write=False)
     rows.setflags(write=False)

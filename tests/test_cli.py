@@ -8,13 +8,18 @@ import numpy as np
 import pytest
 
 from conftest import TRIANGLE_TEXT
-from esotn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from esotn.checkpoint import MAGIC, load_checkpoint, load_sidecar, save_checkpoint
 from esotn.cli import _TRAIN_FLAGS, main
 from esotn.env import DemandStream, EnvConfig
 from esotn.policy import PolicyConfig, PolicyParams, init_params
 from esotn.seeds import TAG_EVAL, derive_key
 from esotn.topology import compute_candidate_paths, load_topology
 from esotn.wire import Shutdown, SocketConnection
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 
 @pytest.fixture
@@ -64,6 +69,18 @@ class TestTrain:
         assert (out / "ckpt_000001.esotn").exists()  # checkpoint_interval = 1
         summary = capsys.readouterr().out
         assert "final mean return" in summary
+
+    def test_sidecars_record_numpy_build_and_dispatch_targets(self, triangle_cfg):
+        # float32 tanh bits depend on the dispatch level, so every sidecar
+        # says which numpy and which enabled SIMD targets ran the rollouts.
+        cfg_path, tmp_path = triangle_cfg
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        enabled = " ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name))
+        for name in ("ckpt_000001.esotn", "ckpt_000002.esotn", "ckpt_final.esotn"):
+            meta = load_sidecar(tmp_path / "out" / name)
+            assert meta["numpy_version"] == np.__version__
+            assert meta["numpy_simd_dispatch"] == (enabled or "none")
+            assert meta["es.seed"] == "0"
 
     def test_same_seed_byte_identical_checkpoints(self, triangle_cfg):
         cfg_path, tmp_path = triangle_cfg

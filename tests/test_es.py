@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -418,6 +420,60 @@ class TestEvaluateAssignment:
         raws = evaluate_assignment(theta, config, 3, indices, evaluator)
         assert len(calls) == derivations
         assert raws == expected
+
+
+class TestFloat32Failures:
+    def test_parameter_beyond_float32_range_scores_nan_and_ranks_last(self):
+        # forward computes in float32: a value finite in float64 but past
+        # float32's range (1e39 in the readout) raises EvaluationError, and
+        # that mutation must fail alone and rank strictly last.
+        config = load_run_config(None, {"es.mutations": "4", "es.episodes_per_eval": "1"})
+        evaluator = make_fitness_evaluator(build_env_configs(config), config.policy)
+        theta = init_params(config.policy, 0)
+        readout = theta.manifest.slots["readout.w"][0]
+        calls = []
+
+        def fitness(params, seeds):
+            calls.append(None)
+            if len(calls) == 2:
+                values = params.values.copy()
+                values[readout] = 1e39
+                params = PolicyParams(manifest=params.manifest, values=values)
+            return evaluator(params, seeds)
+
+        raws = evaluate_assignment(theta, config.es, 0, range(4), fitness)
+        assert [math.isnan(r) for r in raws] == [False, True, False, False]
+        resolved = resolve_failures(np.array(raws), config.es)
+        assert resolved[1] < min(resolved[[0, 2, 3]])
+        assert shape_fitness(resolved)[1] == shape_fitness(resolved).min()
+
+
+class TestCandidateLifetime:
+    def test_every_candidate_dies_with_its_forward_terms(self, monkeypatch):
+        # forward keeps its float32 terms on each candidate, so they go
+        # with it. A module-level cache of them would keep candidates, and
+        # their terms, alive after the evaluation.
+        config = load_run_config(None, {"es.mutations": "8", "es.episodes_per_eval": "2"})
+        evaluator = make_fitness_evaluator(build_env_configs(config), config.policy)
+        theta = init_params(config.policy, 0)
+        refs, filled = [], []
+
+        def tracking_mutate(theta, epsilon, sigma):
+            candidate = mutate(theta, epsilon, sigma)
+            refs.append(weakref.ref(candidate))
+            return candidate
+
+        def fitness(params, seeds):
+            raw = evaluator(params, seeds)
+            filled.append(all((params._links, params._layers, params._demand)))
+            return raw
+
+        monkeypatch.setattr("esotn.es.mutate", tracking_mutate)
+        raws = evaluate_assignment(theta, config.es, 0, range(8), fitness)
+        gc.collect()
+        assert len(refs) == 8 and all(map(math.isfinite, raws))
+        assert filled == [True] * 8
+        assert [ref() for ref in refs] == [None] * 8
 
 
 def run_sequential(theta, config, fitness, on_iteration=None):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -87,13 +88,15 @@ class TestInitParams:
             else:
                 assert np.any(params.views[name] != 0.0), name
 
-    def test_tensor_is_a_view_of_values(self):
+    def test_tensors_are_views_of_one_float32_copy_of_values(self):
         params = init_params(PolicyConfig(hidden_dim=8, message_passing_steps=2), 5)
+        first = params.views["link_embed.w"]
         for name, (start, stop, shape) in params.manifest.slots.items():
             tensor = params.views[name]
             assert tensor.shape == shape
-            assert np.shares_memory(tensor, params.values), name
-            assert tensor.tobytes() == params.values[start:stop].tobytes(), name
+            assert tensor.base is first.base, name
+            assert not np.shares_memory(tensor, params.values), name
+            assert tensor.tobytes() == params.values[start:stop].astype(np.float32).tobytes(), name
 
     def test_weights_within_fan_limit(self):
         params = init_params(PolicyConfig(hidden_dim=16, message_passing_steps=1), 7)
@@ -101,8 +104,8 @@ class TestInitParams:
             if len(shape) != 2:
                 continue
             limit = np.sqrt(6.0 / sum(shape))
-            tensor = params.views[name]
-            assert np.all(np.abs(tensor) <= limit), name
+            start, stop, _ = params.manifest.slots[name]
+            assert np.all(np.abs(params.values[start:stop]) <= limit), name
 
 
 class TestForward:
@@ -202,72 +205,98 @@ class TestForward:
         assert_prob_vector(probs)
 
 
-def einsum_forward(params, ctx, state, candidates):
-    """``forward`` with message passing written as the einsum
-    ``lm,cmh->clh``: the reference that pins its op choice bit for bit."""
-    on_path = np.zeros((len(candidates), ctx.capacities.shape[0]))
+def einsum_forward(params, ctx, state, candidates, dtype=np.float32):
+    """``forward`` in ``dtype`` with message passing written as the einsum
+    ``lm,cmh->clh``. In float32 it is the reference that pins ``forward``'s
+    op choice and casts bit for bit: every parameter and every feature
+    ratio (computed in float64) is cast to float32 first, and the scores
+    return to float64 for the softmax. In float64 it is the arithmetic
+    ``forward`` rounds."""
+    on_path = np.zeros((len(candidates), ctx.capacities.shape[0]), dtype=dtype)
     for i, links in enumerate(candidates):
         on_path[i, links] = 1.0
-    w_in = params.views["link_embed.w"]
+    views = {
+        name: params.values[start:stop].reshape(shape).astype(dtype)
+        for name, (start, stop, shape) in params.manifest.slots.items()
+    }
+    w_in = views["link_embed.w"]
     base = (
-        np.outer(state.residual / ctx.capacities, w_in[0])
-        + np.outer(ctx.capacities / ctx.max_capacity, w_in[1])
-        + params.views["link_embed.b"]
+        np.outer((state.residual / ctx.capacities).astype(dtype), w_in[0])
+        + np.outer((ctx.capacities / ctx.max_capacity).astype(dtype), w_in[1])
+        + views["link_embed.b"]
     )
     hidden = np.tanh(base[None, :, :] + on_path[:, :, None] * w_in[2])
     steps = sum(1 for name, _ in params.manifest.tensors if name.startswith("message.")) // 2
     for step in range(steps):
-        agg = np.einsum("lm,cmh->clh", ctx.link_adjacency, hidden)
-        hidden = np.tanh(
-            agg @ params.views[f"message.{step}.w"] + params.views[f"message.{step}.b"]
-        )
+        agg = np.einsum("lm,cmh->clh", ctx.link_adjacency.astype(dtype), hidden)
+        hidden = np.tanh(agg @ views[f"message.{step}.w"] + views[f"message.{step}.b"])
     path_repr = np.einsum("cl,clh->ch", on_path, hidden)
-    load = state.pending.bandwidth / ctx.max_bandwidth
-    demand_emb = np.tanh(
-        load * params.views["demand_embed.w"][0] + params.views["demand_embed.b"]
-    )
-    readout_w, readout_b = params.views["readout.w"], params.views["readout.b"]
-    scores = np.tanh(path_repr + demand_emb) @ readout_w[:, 0] + readout_b[0]
+    load = dtype(state.pending.bandwidth / ctx.max_bandwidth)
+    demand_emb = np.tanh(load * views["demand_embed.w"][0] + views["demand_embed.b"])
+    readout_w, readout_b = views["readout.w"], views["readout.b"]
+    scores = (np.tanh(path_repr + demand_emb) @ readout_w[:, 0] + readout_b[0]).astype(np.float64)
     exp = np.exp(scores - scores.max())
     return exp / exp.sum()
 
 
+def reference_cases(topology, hidden_dim):
+    """(σ, params, ctx, state, candidates) for every state that stochastic
+    agents of θ0 (σ = 0) and of three mutations act on over two episodes each."""
+    topo = load_bundled_topology(topology)
+    env_config = EnvConfig(topology=topo, paths=compute_candidate_paths(topo, 4))
+    ctx = PolicyContext.for_env(env_config)
+    config = PolicyConfig(hidden_dim=hidden_dim, deterministic_eval=False)
+    theta0 = init_params(config, 0)
+    param_sets = [(0.0, theta0)] + [
+        (sigma, PolicyParams(
+            manifest=theta0.manifest,
+            values=theta0.values + sigma * rng_from_key(derive_key(778, k)).standard_normal(
+                theta0.manifest.total_dim
+            ),
+        ))
+        for k, sigma in enumerate((0.05, 0.05, 1.0))
+    ]
+    cases = []
+    for k, (sigma, params) in enumerate(param_sets):
+        agent = make_agent(params, config, env_config, episode_seed=k, ctx=ctx)
+        states = []
+
+        def recording_agent(state):
+            states.append(EnvState(residual=state.residual.copy(), pending=state.pending))
+            return agent(state)
+
+        for seed in range(2):
+            run_episode(recording_agent, env_config, derive_key(779, k, seed))
+        for state in states:
+            candidates = env_config.paths.path_arrays(state.pending.src, state.pending.dst)
+            cases.append((sigma, params, ctx, state, candidates))
+    return cases
+
+
+REFERENCE_SIZES = [("nsfnet", 16), ("geant2", 16), ("nsfnet", 256)]
+
+
 class TestForwardMatchesEinsumReference:
-    @pytest.mark.parametrize(
-        "topology,hidden_dim", [("nsfnet", 16), ("geant2", 16), ("nsfnet", 256)]
-    )
+    @pytest.mark.parametrize("topology,hidden_dim", REFERENCE_SIZES)
     def test_bitwise_on_rollout_states(self, topology, hidden_dim):
-        topo = load_bundled_topology(topology)
-        env_config = EnvConfig(topology=topo, paths=compute_candidate_paths(topo, 4))
-        ctx = PolicyContext.for_env(env_config)
-        config = PolicyConfig(hidden_dim=hidden_dim, deterministic_eval=False)
-        theta0 = init_params(config, 0)
-        param_sets = [theta0] + [
-            PolicyParams(
-                manifest=theta0.manifest,
-                values=theta0.values + sigma * rng_from_key(derive_key(778, k)).standard_normal(
-                    theta0.manifest.total_dim
-                ),
-            )
-            for k, sigma in enumerate((0.05, 0.05, 1.0))
-        ]
-        compared = 0
-        for k, params in enumerate(param_sets):
-            agent = make_agent(params, config, env_config, episode_seed=k, ctx=ctx)
-            states = []
+        cases = reference_cases(topology, hidden_dim)
+        for _, params, ctx, state, candidates in cases:
+            got = forward(params, ctx, state, candidates)
+            assert got.tobytes() == einsum_forward(params, ctx, state, candidates).tobytes()
+        assert len(cases) >= 20
 
-            def recording_agent(state):
-                states.append(EnvState(residual=state.residual.copy(), pending=state.pending))
-                return agent(state)
-
-            for seed in range(2):
-                run_episode(recording_agent, env_config, derive_key(779, k, seed))
-            for state in states:
-                candidates = env_config.paths.path_arrays(state.pending.src, state.pending.dst)
+    @pytest.mark.parametrize("topology,hidden_dim", REFERENCE_SIZES)
+    def test_within_float32_tolerance_of_float64_arithmetic(self, topology, hidden_dim):
+        # Tolerance set from float32's epsilon (1.2e-7) before measuring:
+        # each score carries a few ulps of rounding per layer, and a
+        # probability moves by at most a quarter of a score difference.
+        # θ0 and the σ = 0.05 mutations only: σ = 1 weights amplify rounding
+        # through the four message steps, and no bound is claimed there.
+        for sigma, params, ctx, state, candidates in reference_cases(topology, hidden_dim):
+            if sigma <= 0.05:
                 got = forward(params, ctx, state, candidates)
-                assert got.tobytes() == einsum_forward(params, ctx, state, candidates).tobytes()
-                compared += 1
-        assert compared >= 20
+                want = einsum_forward(params, ctx, state, candidates, dtype=np.float64)
+                assert np.abs(got - want).max() <= 1e-5
 
 
 def mutated_params(config, k, sigma=0.05):
@@ -302,7 +331,7 @@ def bundled_env(name, bandwidths=(8.0, 32.0, 64.0)):
 def test_link_adjacency_matches_pair_loop(name):
     # Reference: two links are adjacent when they share an endpoint.
     links = load_bundled_topology(name).links
-    expected = np.zeros((len(links), len(links)))
+    expected = np.zeros((len(links), len(links)), dtype=np.float32)
     for i, (a_i, b_i, _) in enumerate(links):
         for j, (a_j, b_j, _) in enumerate(links):
             if i != j and {a_i, b_i} & {a_j, b_j}:
@@ -420,6 +449,50 @@ class TestForwardCachesMatchReference:
                     for cache, got in zip(caches, cached):
                         assert got is cache(state.pending, candidates)
                     assert probs.tobytes() == expected[i]
+
+
+class TestFloat32Edges:
+    """``forward`` computes in float32 from float64 parameters, then scores
+    and normalises in float64."""
+
+    @pytest.mark.parametrize("n_cand", range(1, 9))
+    def test_float64_probability_vector_for_each_candidate_count(self, n_cand):
+        topo = load_bundled_topology("geant2")
+        env_config = EnvConfig(topology=topo, paths=compute_candidate_paths(topo, n_cand))
+        ctx = PolicyContext.for_env(env_config)
+        config = PolicyConfig()
+        # θ0, then mutations of growing scale: the more peaked the softmax,
+        # the more its small entries lean on the float32 scores.
+        param_sets = [init_params(config, 0)] + [
+            mutated_params(config, k, sigma) for k, sigma in enumerate((1.0, 10.0, 100.0))
+        ]
+        for seed in range(4):
+            state = fresh_state(env_config, seed)
+            state.residual *= rng_from_key(derive_key(781, n_cand, seed)).uniform(
+                0.0, 1.0, state.residual.shape
+            )
+            candidates = env_config.paths.path_arrays(state.pending.src, state.pending.dst)
+            assert len(candidates) == n_cand
+            for params in param_sets:
+                probs = forward(params, ctx, state, candidates)
+                assert probs.dtype == np.float64
+                assert probs.min() >= 0
+                assert abs(probs.sum() - 1.0) <= 1e-6
+
+    def test_parameter_beyond_float32_range_raises_quietly(self, diamond_env):
+        # 1e39 is finite in float64 but past float32's ceiling (about
+        # 3.4e38): its float32 copy is inf, and so is a score.
+        params = init_params(PolicyConfig(), 0)
+        values = params.values.copy()
+        values[params.manifest.slots["readout.w"][0]] = 1e39
+        bad = PolicyParams(manifest=params.manifest, values=values)
+        ctx = PolicyContext.for_env(diamond_env)
+        state = fresh_state(diamond_env)
+        state.pending = Demand(0, 3, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="non-finite"):
+                forward(bad, ctx, state, diamond_env.paths.path_arrays(0, 3))
 
 
 class TestSampleAction:
