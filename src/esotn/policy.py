@@ -217,7 +217,7 @@ def unflatten(manifest: ParamManifest, vector: np.ndarray) -> PolicyParams:
 @dataclass(frozen=True, eq=False)
 class PolicyContext:
     """Per-topology constants the forward pass needs, plus the topology's
-    candidate path table, whose per-pair on-path layouts ``forward`` reuses.
+    candidate path table, whose on-path layouts ``forward`` reads.
     Compared and hashed by identity: parameter objects key their per-topology
     terms by the context itself."""
 
@@ -264,7 +264,7 @@ def forward(
     n_cand = len(candidates)
     n_links = ctx.capacities.shape[0]
     demand = state.pending
-    on_path, rows = ctx.paths.on_path(demand.src, demand.dst, candidates, n_links)
+    on_path, rows = ctx.paths.on_path(demand.src, demand.dst, candidates)
     # Non-finite intermediates are caught below; silence numpy's overflow
     # chatter (a parameter cast past float32's range among it) so failed
     # mutations degrade quietly to their failure fitness.

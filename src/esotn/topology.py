@@ -10,9 +10,10 @@ action space of the allocation environment.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -63,8 +64,8 @@ def validate_topology(topo: Topology) -> Topology:
 
     Error messages name the offending node, link, or capacity.
     """
-    if topo.node_count < 1:
-        raise TopologyValidationError(f"node count must be positive, got {topo.node_count}")
+    if topo.node_count < 2:
+        raise TopologyValidationError(f"node count must be at least 2, got {topo.node_count}")
     seen: dict[tuple[int, int], int] = {}
     for link_id, (a, b, cap) in enumerate(topo.links):
         for node in (a, b):
@@ -74,9 +75,9 @@ def validate_topology(topo: Topology) -> Topology:
                 )
         if a == b:
             raise TopologyValidationError(f"link {link_id} ({a}-{b}): self-loop")
-        if cap <= 0:
+        if not 0 < cap < np.inf:
             raise TopologyValidationError(
-                f"link {link_id} ({a}-{b}): capacity {cap} is not positive"
+                f"link {link_id} ({a}-{b}): capacity {cap} is not positive and finite"
             )
         key = (min(a, b), max(a, b))
         if key in seen:
@@ -161,75 +162,74 @@ def load_bundled_topology(name: str) -> Topology:
     return load_topology(text, name=name)
 
 
+def _path_layouts(groups: Sequence[Sequence[Sequence[int]]], n_links: int) -> list[tuple]:
+    """Each group's paths over ``n_links`` links as ``(path arrays, link
+    index, on-path layout)``, built in one vectorised pass; every array is a
+    read-only, C-contiguous view into one flat buffer per form.
+
+    The link index is the group's links as one flat array plus each path's
+    start offset in it. The on-path layout is a float32 0/1 [link, path]
+    matrix, plus the same matrix as rows ``link + n_links * on_path``,
+    flattened link-major in the smallest unsigned type that holds them: each
+    (link, path)'s row in a stack of per-link off-path over on-path rows."""
+    paths = [path for group in groups for path in group]
+    widths = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+    lengths = np.fromiter(map(len, paths), dtype=np.intp, count=len(paths))
+    links = np.fromiter(chain.from_iterable(paths), dtype=np.intp, count=int(lengths.sum()))
+    path_bounds = np.append(0, np.cumsum(lengths))  # into links
+    group_bounds = np.append(0, np.cumsum(widths))  # into paths
+    cell_bounds = np.append(0, np.cumsum(n_links * widths))  # into on_path and rows
+    first_path = np.repeat(group_bounds[:-1], widths)
+    starts = path_bounds[:-1] - path_bounds[first_path]
+    # A path's on-path cells: its group's first cell + link * width + its column.
+    path_cell = np.repeat(cell_bounds[:-1], widths) + np.arange(len(paths)) - first_path
+    hits = links * widths.repeat(widths).repeat(lengths) + path_cell.repeat(lengths)
+    on_path = np.zeros(cell_bounds[-1], dtype=np.float32)
+    on_path[hits] = 1.0
+    row_type = np.min_scalar_type(2 * n_links - 1)
+    rows = np.tile(np.arange(n_links, dtype=row_type), len(groups)).repeat(widths.repeat(n_links))
+    rows[hits] += n_links
+    for array in (links, starts, on_path, rows):
+        array.setflags(write=False)
+    p, g, c = path_bounds.tolist(), group_bounds.tolist(), cell_bounds.tolist()
+    return [
+        (tuple(links[p[j] : p[j + 1]] for j in range(g[i], g[i + 1])),
+         (links[p[g[i]] : p[g[i + 1]]], starts[g[i] : g[i + 1]]),
+         (on_path[c[i] : c[i + 1]].reshape(n_links, width), rows[c[i] : c[i + 1]]))
+        for i, width in enumerate(widths.tolist())
+    ]
+
+
 @dataclass(frozen=True)
 class CandidatePathTable:
-    """Up to k loop-free paths per ordered node pair, as link-id sequences.
+    """Up to k loop-free paths per ordered node pair, as link-id sequences
+    over the topology's ``n_links`` links.
 
     Path lists are ordered by (hop count, lexicographic link-id sequence),
-    so identical inputs always produce identical tables.
+    so identical inputs always produce identical tables. Every pair's
+    ``_path_layouts`` entry is built in one pass on the table's first use
+    (not at construction, which stays as cheap as the path search).
     """
 
     k: int
     entries: dict[tuple[int, int], tuple[tuple[int, ...], ...]]
-    _arrays: dict[tuple[int, int], tuple[np.ndarray, ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _link_index: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _on_path: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    n_links: int
 
-    def __post_init__(self) -> None:
-        for pair, paths in self.entries.items():
-            self._arrays[pair] = tuple(np.array(p, dtype=np.intp) for p in paths)
+    @cached_property
+    def _layouts(self) -> dict[tuple[int, int], tuple]:
+        return dict(zip(self.entries, _path_layouts(list(self.entries.values()), self.n_links)))
 
     def path_arrays(self, src: int, dst: int) -> tuple[np.ndarray, ...]:
-        return self._arrays[(src, dst)]
+        return self._layouts[(src, dst)][0]
 
     def link_index(self, src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
-        """The pair's paths as one flat link-id array plus the offset where
-        each path starts in it, built on the pair's first use."""
-        index = self._link_index.get((src, dst))
-        if index is None:
-            paths = self.entries[(src, dst)]
-            links = np.array([link for path in paths for link in path], dtype=np.intp)
-            lengths = np.array([len(path) for path in paths], dtype=np.intp)
-            starts = np.cumsum(lengths) - lengths
-            index = self._link_index.setdefault((src, dst), (links, starts))
-        return index
+        return self._layouts[(src, dst)][1]
 
-    def on_path(
-        self, src: int, dst: int, paths: Sequence[np.ndarray], n_links: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``paths`` over ``n_links`` links as a read-only float32 0/1
-        [link, path] on-path matrix, plus the same matrix as row indices
-        ``link + n_links * on_path``, flattened link-major: each (link, path)'s
-        row in a stack of per-link off-path rows over per-link on-path rows.
-
-        Kept per pair, built on first use, when ``paths`` is the pair's own
-        ``path_arrays`` tuple; built afresh for any other sequence (a
-        reordering, say)."""
-        if paths is not self._arrays.get((src, dst)):
-            return _on_path_layout(paths, n_links)
-        key = (src, dst, n_links)
-        layout = self._on_path.get(key)
-        if layout is None:
-            layout = self._on_path.setdefault(key, _on_path_layout(paths, n_links))
-        return layout
-
-
-def _on_path_layout(paths: Sequence[np.ndarray], n_links: int) -> tuple[np.ndarray, np.ndarray]:
-    on_path = np.zeros((n_links, len(paths)), dtype=np.float32)
-    for i, links in enumerate(paths):
-        on_path[links, i] = 1.0
-    # The smallest unsigned type that holds the indices keeps the cache small.
-    rows = (np.arange(n_links)[:, None] + n_links * on_path.astype(np.intp)).ravel()
-    rows = rows.astype(np.min_scalar_type(2 * n_links - 1))
-    on_path.setflags(write=False)
-    rows.setflags(write=False)
-    return on_path, rows
+    def on_path(self, src: int, dst: int, paths: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+        """The on-path layout of ``paths``: the pair's own when ``paths`` is
+        its ``path_arrays`` tuple, else built afresh (for a reordering)."""
+        layout = self._layouts[(src, dst)]
+        return layout[2] if paths is layout[0] else _path_layouts([paths], self.n_links)[0][2]
 
 
 def _reaches(neighbours: list[int], start: int, blocked: int, targets: int) -> bool:
@@ -287,4 +287,4 @@ def compute_candidate_paths(topo: Topology, k: int) -> CandidatePathTable:
         for dst in range(topo.node_count):
             if dst != src:
                 entries[(src, dst)] = tuple(rows[dst])
-    return CandidatePathTable(k=k, entries=entries)
+    return CandidatePathTable(k=k, entries=entries, n_links=len(topo.links))

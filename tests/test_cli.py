@@ -302,6 +302,29 @@ def test_bad_env_value_fails_with_one_line(tmp_path, capsys, command, override, 
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nodes 2\nlink 0 1 nan\n", "link 0 (0-1): capacity nan is not positive and finite"),
+        ("nodes 2\nlink 0 1 inf\n", "link 0 (0-1): capacity inf is not positive and finite"),
+        ("nodes 1\n", "node count must be at least 2, got 1"),
+    ],
+    ids=["nan", "inf", "one-node"],
+)
+def test_bad_topology_fails_with_one_line(tmp_path, capsys, command, text, message):
+    topo = tmp_path / "bad.txt"
+    topo.write_text(text)
+    out = tmp_path / "out"
+    argv = [command, "--set", f"topology.files={topo}"]
+    if command == "train":
+        argv += ["--out", str(out), "--iterations", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "bench"])
 @pytest.mark.parametrize(
     "override, key",

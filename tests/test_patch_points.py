@@ -10,6 +10,7 @@ make those spans read 0 without any error, so this file pins all three.
 import inspect
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +22,30 @@ import esotn.env
 import esotn.es
 import esotn.policy
 import esotn.runtime
+import esotn.seeds
 import esotn.wire
 from esotn.cli import main
 from esotn.config import build_env_configs, load_run_config
 from esotn.env import DemandStream, EnvConfig
 from esotn.es import (
+    PREFETCH_MIN_DIM,
+    compute_update,
     derive_perturbation,
     episode_seeds,
+    evaluate_assignment,
     make_fitness_evaluator,
+    make_rollout,
     mutate,
     mutation_seed_sign,
 )
-from esotn.policy import ParamManifest, PolicyConfig, PolicyParams, init_params
+from esotn.policy import (
+    ParamManifest,
+    PolicyConfig,
+    PolicyContext,
+    PolicyParams,
+    init_params,
+    make_agent,
+)
 from esotn.runtime import TrainingSetup, run_inproc
 from esotn.topology import compute_candidate_paths, load_bundled_topology
 
@@ -209,3 +222,80 @@ def test_resolve_failures_sees_each_iterations_returns_once(monkeypatch):
     for failed in calls:
         assert len(failed) == es.num_mutations
         assert {j for j, nan in enumerate(failed) if nan} == failing
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that records each call's thread."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(threading.current_thread())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_one_reset_per_episode(monkeypatch):
+    # perfbench counts episodes (env.episodes) by ``OtnEnv.reset``.
+    envs = [bundled_env(name) for name in ("nsfnet", "geant2")]
+    config = PolicyConfig(hidden_dim=4, message_passing_steps=1)
+    params = init_params(config, 0)
+    resets = counting(monkeypatch, esotn.env.OtnEnv, "reset")
+    make_fitness_evaluator(envs, config)(params, list(range(5)))
+    assert len(resets) == 5
+    make_rollout(envs, config)(params, list(range(3)))
+    assert len(resets) == 8
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["stochastic", "deterministic"])
+def test_one_action_generator_per_stochastic_agent(monkeypatch, deterministic):
+    env_config = bundled_env("nsfnet")
+    config = PolicyConfig(hidden_dim=4, message_passing_steps=1, deterministic_eval=deterministic)
+    params = init_params(config, 0)  # its own generator, before the count starts
+    ctx = PolicyContext.for_env(env_config)
+    generators = counting(monkeypatch, esotn.policy, "rng_from_key")
+    for seed in range(4):
+        make_agent(params, config, env_config, seed, ctx)
+    assert len(generators) == (0 if deterministic else 4)
+    make_rollout([env_config], config)(params, list(range(3)))
+    assert len(generators) == (0 if deterministic else 7)
+
+
+@pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "plain"])
+def test_one_seeds_generator_per_perturbation_seed(monkeypatch, mirrored):
+    # Below PREFETCH_MIN_DIM each seed's vector is drawn once, on the
+    # caller's thread; a mirrored pair shares one seed.
+    es = toy_config(num_mutations=8, iterations=1, mirrored=mirrored)
+    manifest = ParamManifest(tensors=(("theta", (16,)),))
+    assert manifest.total_dim < PREFETCH_MIN_DIM
+    theta = PolicyParams(manifest=manifest, values=np.zeros(16))
+    seeds = len({mutation_seed_sign(es, 0, j)[0] for j in range(es.num_mutations)})
+    assert seeds == (4 if mirrored else 8)
+    generators = counting(monkeypatch, esotn.seeds, "rng_from_key")
+    evaluate_assignment(theta, es, 0, range(es.num_mutations), lambda p, s: 0.0)
+    assert len(generators) == seeds
+    compute_update(np.zeros(es.num_mutations), es, 0, manifest)
+    assert len(generators) == 2 * seeds
+    assert set(generators) == {threading.current_thread()}
+
+
+def test_worker_connection_decodes_two_messages_per_iteration_plus_shutdown(monkeypatch):
+    # In a 2-worker in-process run the worker thread's connection decodes
+    # T begins, T updates and one shutdown; the coordinator's decodes T
+    # reports.
+    es = toy_config(num_mutations=8, iterations=3)
+    theta0 = PolicyParams(manifest=ParamManifest(tensors=(("theta", (4,)),)), values=np.zeros(4))
+    setup = TrainingSetup(es=es, evaluator=lambda p, s: -float(np.sum(p.values**2)))
+    decodes = counting(monkeypatch, esotn.wire, "decode_payload")
+    run_inproc(setup, theta0, 2)
+    coordinator = threading.current_thread()
+    T = es.iterations
+    assert sum(thread is not coordinator for thread in decodes) == 2 * T + 1
+    assert sum(thread is coordinator for thread in decodes) == T
+
+
+def bundled_env(name):
+    topo = load_bundled_topology(name)
+    return EnvConfig(topology=topo, paths=compute_candidate_paths(topo, 4))

@@ -1,9 +1,8 @@
 import heapq
-import sys
-import threading
 from types import SimpleNamespace
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +35,12 @@ def links_to_nodes(topo, src, links):
     return nodes
 
 
+def bundled_or_pendant(name):
+    if name.endswith("+pendant"):
+        return bundled_with_pendant(name.removesuffix("+pendant"))
+    return load_bundled_topology(name)
+
+
 def bundled_with_pendant(name, attach=0):
     """A bundled topology plus one degree-1 node joined to ``attach``."""
     topo = load_bundled_topology(name)
@@ -54,6 +59,17 @@ class TestLoadTopology:
         text = "nodes 2\nlink 0 1 0\n"
         with pytest.raises(TopologyValidationError, match="link 0.*capacity"):
             load_topology(text)
+
+    @pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
+    def test_non_finite_capacity_rejected(self, cap):
+        text = f"nodes 3\nlink 0 1 5\nlink 1 2 {cap}\n"
+        with pytest.raises(TopologyValidationError, match="link 1 .*capacity.*finite"):
+            load_topology(text)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_nodes_rejected(self, count):
+        with pytest.raises(TopologyValidationError, match=f"at least 2, got {count}"):
+            load_topology(f"nodes {count}\n")
 
     def test_self_loop_rejected(self):
         with pytest.raises(TopologyValidationError, match="self-loop"):
@@ -142,10 +158,7 @@ class TestCandidatePaths:
         # last path (all of them when the row is short of k), ordered by
         # (hops, link sequence), truncated to k. The pendant node's rows to
         # and from its neighbour hold a single path.
-        if name.endswith("+pendant"):
-            topo = bundled_with_pendant(name.removesuffix("+pendant"))
-        else:
-            topo = load_bundled_topology(name)
+        topo = bundled_or_pendant(name)
         graph = to_networkx(topo)
         table = compute_candidate_paths(topo, k)
         assert len(table.entries) == topo.node_count * (topo.node_count - 1)
@@ -224,34 +237,80 @@ class TestCandidatePaths:
             ends = list(starts[1:]) + [len(links)]
             assert [tuple(links[a:b].tolist()) for a, b in zip(starts, ends)] == list(paths)
 
-    def test_link_index_built_once_under_racing_threads(self):
-        # Inproc workers share one table; eight threads racing to build
-        # each pair's index must all be handed the one stored object.
+
+def reference_link_index(paths):
+    # One pair at a time, as a reference for the table's one-pass build,
+    # which hands the index out read-only.
+    links = np.array([link for path in paths for link in path], dtype=np.intp)
+    lengths = np.array([len(path) for path in paths], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    for array in (links, starts):
+        array.setflags(write=False)
+    return links, starts
+
+
+def reference_on_path_layout(paths, n_links):
+    on_path = np.zeros((n_links, len(paths)), dtype=np.float32)
+    for i, links in enumerate(paths):
+        on_path[links, i] = 1.0
+    rows = (np.arange(n_links)[:, None] + n_links * on_path.astype(np.intp)).ravel()
+    rows = rows.astype(np.min_scalar_type(2 * n_links - 1))
+    on_path.setflags(write=False)
+    rows.setflags(write=False)
+    return on_path, rows
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.flags.c_contiguous == b.flags.c_contiguous
+        assert a.flags.writeable == b.flags.writeable
+        assert a.tobytes() == b.tobytes()
+
+
+class TestPathLayouts:
+    """The table builds every pair's path arrays, link index and on-path
+    layout in one pass on first use; each must equal the per-pair build."""
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    @pytest.mark.parametrize("name", ["nsfnet", "geant2", "geant2+pendant"])
+    def test_every_pair_matches_per_pair_build(self, name, k):
+        topo = bundled_or_pendant(name)
+        n_links = len(topo.links)
+        table = compute_candidate_paths(topo, k)
+        assert table.n_links == n_links
+        for (src, dst), paths in table.entries.items():
+            arrays = table.path_arrays(src, dst)
+            expected = [np.array(path, dtype=np.intp) for path in paths]
+            for array in expected:
+                array.setflags(write=False)
+            assert_same_arrays(arrays, expected)
+            assert_same_arrays(table.link_index(src, dst), reference_link_index(paths))
+            assert_same_arrays(
+                table.on_path(src, dst, arrays), reference_on_path_layout(arrays, n_links)
+            )
+
+    def test_reordered_candidates_get_their_own_layout(self):
+        table = compute_candidate_paths(bundled_with_pendant("geant2"), 4)
+        for src, dst in table.entries:
+            own = table.path_arrays(src, dst)
+            assert table.on_path(src, dst, own) is table.on_path(src, dst, own)
+            for candidates in (own[::-1], list(own), tuple(a.copy() for a in own)):
+                assert_same_arrays(
+                    table.on_path(src, dst, candidates),
+                    reference_on_path_layout(candidates, table.n_links),
+                )
+
+    def test_path_arrays_are_read_only(self):
         table = compute_candidate_paths(load_bundled_topology("nsfnet"), 4)
-        pairs = list(table.entries)
-        seen = [[] for _ in range(8)]
-
-        def build(out, order):
-            for pair in order:
-                out.append((pair, table.link_index(*pair)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=build, args=(seen[i], pairs[i::-1] + pairs[i + 1 :]))
-                for i in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for out in seen:
-            assert len(out) == len(pairs)
-            assert all(index is table.link_index(*pair) for pair, index in out)
+        path = table.path_arrays(0, 5)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            path[0] = 0
+        links, starts = table.link_index(0, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            links[:] = 0
+        assert table.path_arrays(0, 5)[0].tolist() == list(table.entries[(0, 5)][0])
 
 
 @settings(max_examples=25, deadline=None)
